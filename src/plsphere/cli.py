@@ -15,7 +15,7 @@ import sys
 
 from . import generators, io
 from .complex_core import DEFAULT_CAPACITY, SimplicialComplex
-from .errors import CapacityExceeded, PLSphereError
+from .errors import CapacityExceeded, InvalidSpec, PLSphereError
 from .flips import AnnealingSchedule, bistellar_simplify, trajectory_tsv
 from .homology import homology
 from .morse import (
@@ -47,8 +47,11 @@ def resolve_complex(spec: str, capacity: int = DEFAULT_CAPACITY) -> SimplicialCo
     head = spec.split(":", 1)[0]
     if head == "sd":
         _, k, rest = spec.split(":", 2)
+        rounds = int(k)
+        if rounds < 0:
+            raise InvalidSpec(f"negative subdivision count in {spec!r}")
         K = resolve_complex(rest, capacity)
-        for _ in range(int(k)):
+        for _ in range(rounds):
             K = K.barycentric_subdivision(capacity=capacity)
         return K
     if head in generators.GENERATORS:
@@ -134,8 +137,7 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_homology(args) -> int:
     K = resolve_complex(args.complex)
-    coeffs = args.coefficients if args.coefficients in ("Z", "Q") else int(args.coefficients)
-    hg = homology(K, coeffs, reduced=args.reduced)
+    hg = homology(K, args.coefficients, reduced=args.reduced)
     _emit(hg.report_dict(), args.format, hg.report_text())
     return 0
 
@@ -241,11 +243,10 @@ def build_parser() -> _Parser:
     s.add_argument("--strategy", choices=[st.value for st in Strategy], default="random-random")
     s.add_argument("--rounds", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int, default=1, help="reserved; runs sequentially")
     s.add_argument("--no-runtime", action="store_true", help="omit the runtime comment line")
 
     h = add("homology", _cmd_homology, "homology groups")
-    h.add_argument("--coefficients", default="Z", help="Z, Q, or a prime p")
+    h.add_argument("--coefficients", default="Z", help="Z, Q, or a prime p < 2^31")
     h.add_argument("--reduced", action="store_true")
 
     q = add("pi1", _cmd_pi1, "fundamental-group presentation and triviality verdict")
@@ -274,7 +275,6 @@ def build_parser() -> _Parser:
         choices=("full_inductive", "vertices_only", "skip_links"),
         default="full_inductive",
     )
-    r.add_argument("--threads", type=int, default=1, help="reserved; runs sequentially")
 
     return p
 

@@ -25,15 +25,6 @@ Face = tuple  # strictly increasing tuple of ints
 DEFAULT_CAPACITY = 2**31
 
 
-def make_face(vertices) -> Face:
-    """Canonical face from an iterable of vertex labels (sorted, no dups)."""
-    f = tuple(sorted(vertices))
-    for a, b in zip(f, f[1:]):
-        if a == b:
-            raise DuplicateVertexInFacet(-1, f)
-    return f
-
-
 class SimplicialComplex:
     """Finite abstract simplicial complex given by its facet list.
 
@@ -41,7 +32,7 @@ class SimplicialComplex:
     labels are arbitrary non-negative integers and preserved as given.
     """
 
-    __slots__ = ("facets", "dim", "_faces_by_dim", "_vertices")
+    __slots__ = ("facets", "dim", "_faces_by_dim", "_vertices", "_vertex_star")
 
     def __init__(self, facets):
         # internal constructor: facets assumed canonical & maximal
@@ -49,6 +40,7 @@ class SimplicialComplex:
         self.dim = max((len(f) for f in self.facets), default=0) - 1
         self._faces_by_dim = None
         self._vertices = None
+        self._vertex_star = None
 
     @classmethod
     def from_facets(cls, facet_lists) -> "SimplicialComplex":
@@ -121,12 +113,29 @@ class SimplicialComplex:
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * fk for k, fk in enumerate(self.f_vector()))
 
+    def star(self, face) -> list[Face]:
+        """The facets containing ``face``, in facet order (all of them for ``()``).
+
+        Answered from a vertex -> facets index built on first use: only the
+        facets around the face's least-covered vertex are tested.
+        """
+        if self._vertex_star is None:
+            index: dict = {}
+            for g in self.facets:
+                for v in g:
+                    index.setdefault(v, []).append(g)
+            self._vertex_star = index
+        if not face:
+            return list(self.facets)
+        fs = set(face)
+        around = min((self._vertex_star.get(v, ()) for v in fs), key=len)
+        return [g for g in around if fs.issubset(g)]
+
     def has_face(self, face) -> bool:
         f = tuple(sorted(face))
         if not f or len(f) - 1 > self.dim:
             return False
-        fs = set(f)
-        return any(fs <= set(g) for g in self.facets)
+        return bool(self.star(f))
 
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
@@ -185,17 +194,14 @@ class SimplicialComplex:
 
     def link(self, face) -> "SimplicialComplex":
         f = tuple(sorted(face))
-        fs = set(f)
-        link_facets = set()
-        for g in self.facets:
-            if fs <= set(g):
-                rest = tuple(v for v in g if v not in fs)
-                link_facets.add(rest)
-        if not link_facets or link_facets == {()}:
+        star = self.star(f)
+        if not star or star == [f]:
             raise NotAFace(f"{f} is not a proper face with non-void link")
+        fs = set(f)
+        link_facets = [tuple(v for v in g if v not in fs) for g in star]
         # facets of the link are automatically maximal when f is a face of
         # a complex whose facets all strictly contain f; guard anyway
-        return SimplicialComplex.from_facets(list(link_facets))
+        return SimplicialComplex.from_facets(link_facets)
 
     def barycentric_subdivision(self, capacity: int = DEFAULT_CAPACITY) -> "SimplicialComplex":
         """Order complex of the face poset.
@@ -230,8 +236,7 @@ class HasseDiagram:
     Nodes are numbered in (dimension, lex) order; ``level_start[k]`` is the
     first node of dimension k.  The empty face is not materialized.  The
     diagram itself is immutable after :func:`build_hasse`; destructive
-    algorithms keep private ``alive`` / coface-count arrays, cloned cheaply
-    per run.
+    algorithms keep private alive-flag / coface-count arrays per run.
     """
 
     __slots__ = (
@@ -243,14 +248,7 @@ class HasseDiagram:
         "down_off",
         "down_idx",
         "locator",
-        "alive",
     )
-
-    def node_face(self, node: int) -> Face:
-        return self.faces[node]
-
-    def node_dim(self, node: int) -> int:
-        return len(self.faces[node]) - 1
 
     def level_range(self, k: int) -> range:
         return range(self.level_start[k], self.level_start[k + 1])
@@ -271,16 +269,6 @@ class HasseDiagram:
     def up_degrees(self) -> list[int]:
         off = self.up_off
         return [off[i + 1] - off[i] for i in range(len(self.faces))]
-
-    def alive_facets(self, alive) -> list[Face]:
-        """Maximal faces of the subcomplex selected by an alive flag array."""
-        out = []
-        for node in range(len(self.faces)):
-            if not alive[node]:
-                continue
-            if all(not alive[u] for u in self.up_neighbors(node)):
-                out.append(self.faces[node])
-        return out
 
 
 def build_hasse(K: SimplicialComplex, capacity: int = DEFAULT_CAPACITY) -> HasseDiagram:
@@ -326,5 +314,4 @@ def build_hasse(K: SimplicialComplex, capacity: int = DEFAULT_CAPACITY) -> Hasse
     H.down_idx = down_idx
     H.up_off = up_off
     H.up_idx = up_idx
-    H.alive = bytearray(b"\x01" * total)
     return H

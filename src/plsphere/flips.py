@@ -1,6 +1,6 @@
 """Bistellar flips and simulated-annealing simplification.
 
-The flip kernel works on a facet set plus a face -> facet-count index
+The flip kernel works on a facet set plus a face -> containing-facets index
 instead of a full face lattice, so moves are cheap to apply and the set of
 available options is maintained incrementally.  ``bistellar_simplify``
 anneals toward the lexicographically smallest f-vector, alternating cooling
@@ -21,20 +21,6 @@ TRAJECTORY_BUFFER = 10**6
 
 
 @dataclass(frozen=True)
-class FlipOption:
-    """A flippable face: ``face`` of dimension i lying in exactly
-    d-i+1 facets, with ``replacement_face`` the surrounding link vertices
-    (empty for a facet, whose flip introduces a fresh vertex)."""
-
-    face: Face
-    replacement_face: Face
-
-    @property
-    def cofacet_count(self) -> int:
-        return len(self.replacement_face) if self.replacement_face else 1
-
-
-@dataclass(frozen=True)
 class FlipMove:
     """One applied flip, enough to replay it deterministically."""
 
@@ -47,7 +33,8 @@ class FlipMove:
 class FlipState:
     """Mutable pseudomanifold under bistellar flips.
 
-    Maintains the facet set, a count of facets containing each face, the
+    Maintains the facet set, the star of each face (the set of facets
+    containing it, so ``len(star[face])`` is its cofacet count), the
     f-vector, and per-dimension candidate faces (faces of dimension i in
     exactly d-i+1 facets).
     """
@@ -59,7 +46,7 @@ class FlipState:
         self.d = K.dim
         self.rng = rng if isinstance(rng, Rng) else Rng(rng)
         self.facets: set[Face] = set()
-        self.count: dict[Face, int] = {}
+        self.star: dict[Face, set[Face]] = {}
         self.f = [0] * (self.d + 1)
         self.candidates: list[set[Face]] = [set() for _ in range(self.d + 1)]
         self.max_label = max(K.vertices)
@@ -73,55 +60,44 @@ class FlipState:
 
     # -- incremental index maintenance ----------------------------------
 
-    def _bump(self, face: Face, delta: int) -> None:
+    def _recount(self, face: Face, old: int, new: int) -> None:
+        """Move ``face`` in or out of the candidates as its cofacet count
+        changes from ``old`` to ``new``."""
         k = len(face) - 1
-        old = self.count.get(face, 0)
-        new = old + delta
         target = self.d - k + 1  # cofacet count that makes the face flippable
         if old == target:
             self.candidates[k].discard(face)
         if new == target:
             self.candidates[k].add(face)
-        if old == 0:
-            self.f[k] += 1
-        if new == 0:
-            del self.count[face]
-            self.f[k] -= 1
-        else:
-            self.count[face] = new
 
     def _add_facet(self, f: Face) -> None:
         self.facets.add(f)
         for s in range(1, len(f) + 1):
             for sub in combinations(f, s):
-                self._bump(sub, 1)
+                cof = self.star.get(sub)
+                if cof is None:
+                    cof = self.star[sub] = set()
+                    self.f[s - 1] += 1
+                cof.add(f)
+                self._recount(sub, len(cof) - 1, len(cof))
 
     def _remove_facet(self, f: Face) -> None:
         self.facets.remove(f)
         for s in range(1, len(f) + 1):
             for sub in combinations(f, s):
-                self._bump(sub, -1)
+                cof = self.star[sub]
+                cof.remove(f)
+                if not cof:
+                    del self.star[sub]
+                    self.f[s - 1] -= 1
+                self._recount(sub, len(cof) + 1, len(cof))
 
     # -- option enumeration ----------------------------------------------
 
     def replacement_of(self, face: Face) -> Face:
         """Link vertices of a flippable face (empty tuple for a facet)."""
-        if len(face) == self.d + 1:
-            return ()
-        fs = set(face)
-        rest: set[int] = set()
-        for cof in self._cofacets(face):
-            rest.update(v for v in cof if v not in fs)
-        return tuple(sorted(rest))
-
-    def _cofacets(self, face: Face) -> list[Face]:
-        fs = set(face)
-        return [g for g in self.facets if fs <= set(g)]
-
-    def option(self, face: Face) -> FlipOption:
-        if self.count.get(face, 0) != self.d - len(face) + 2:
-            raise StaleOption(f"{face} is not in exactly {self.d - len(face) + 2} facets")
-        return FlipOption(face, self.replacement_of(face))
+        rest = {v for cof in self.star.get(face, ()) for v in cof}
+        return tuple(sorted(rest.difference(face)))
 
     def options_at(self, dim: int) -> list[Face]:
         """Flippable faces of the given dimension, in sorted order."""
@@ -137,7 +113,7 @@ class FlipState:
         rep = self.replacement_of(face)
         if len(rep) != self.d - i + 1:
             return False  # star is not a flip bipyramid
-        return rep not in self.count
+        return rep not in self.star
 
     # -- applying moves ----------------------------------------------------
 
@@ -202,23 +178,6 @@ class FlipState:
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(self.f)
-
-
-def raw_options(K: SimplicialComplex) -> tuple[tuple[FlipOption, ...], ...]:
-    """All flippable faces of K, grouped by face dimension.
-
-    A face of dimension i is an option when it lies in exactly d-i+1
-    facets; in particular every facet is a dimension-d option.
-    """
-    state = FlipState(K, Rng(0))
-    return tuple(
-        tuple(FlipOption(f, state.replacement_of(f)) for f in state.options_at(i))
-        for i in range(K.dim + 1)
-    )
-
-
-def is_proper(K: SimplicialComplex, opt: FlipOption) -> bool:
-    return FlipState(K, Rng(0)).is_proper(opt.face)
 
 
 def reached_simplex_boundary(K_or_state) -> bool:

@@ -3,18 +3,17 @@
 Boundary matrices are kept sparse (dict-of-dict rows plus column indexes)
 and eliminated greedily on unit pivots with a Markowitz-style fill-in
 heuristic; the usually tiny residual block is finished with the classical
-Euclidean Smith normal form over arbitrary-precision integers.  An acyclic
-Morse matching may be supplied as a pivot schedule.
+Euclidean Smith normal form over arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from math import isqrt
 
-from .complex_core import HasseDiagram, SimplicialComplex, build_hasse
-from .errors import DimensionOutOfRange, InconsistentMatching
-from .morse import MorseResult, verify_acyclic_matching
+from .complex_core import SimplicialComplex
+from .errors import DimensionOutOfRange, InvalidSpec
 
 
 class SparseIntMatrix:
@@ -41,11 +40,6 @@ class SparseIntMatrix:
 
     def nnz(self) -> int:
         return sum(len(row) for row in self.rows)
-
-    def entries(self):
-        for r, row in enumerate(self.rows):
-            for c, v in row.items():
-                yield r, c, v
 
     def copy(self) -> "SparseIntMatrix":
         M = SparseIntMatrix(self.nrows, self.ncols)
@@ -128,21 +122,10 @@ def _pivot_unit(M: SparseIntMatrix, r: int, c: int) -> None:
     rows[r] = {}
 
 
-def _unit_phase(M: SparseIntMatrix, schedule=None) -> int:
-    """Pivot on unit entries until none remain; returns the pivot count.
-
-    ``schedule`` is an optional list of (row, col) pivots tried first, in
-    order; stale or non-unit scheduled entries are skipped.
-    """
+def _unit_phase(M: SparseIntMatrix) -> int:
+    """Pivot on unit entries until none remain; returns the pivot count."""
     rows, col_rows = M.rows, M.col_rows
     pivots = 0
-
-    if schedule:
-        for r, c in schedule:
-            if rows[r].get(c) in (1, -1):
-                _pivot_unit(M, r, c)
-                pivots += 1
-
     heap: list[tuple[int, int, int]] = []
     for r, row in enumerate(rows):
         rl = len(row) - 1
@@ -238,10 +221,10 @@ def _dense_snf(mat: list[list[int]]) -> list[int]:
     return divisors
 
 
-def smith_normal_form(M: SparseIntMatrix, schedule=None) -> SmithNormalForm:
+def smith_normal_form(M: SparseIntMatrix) -> SmithNormalForm:
     """Elementary divisors of M (greedy unit pivots, then Euclidean SNF)."""
     W = M.copy()
-    units = _unit_phase(W, schedule=schedule)
+    units = _unit_phase(W)
     # densify the (typically tiny) residual
     live_rows = [r for r, row in enumerate(W.rows) if row]
     live_cols = sorted({c for r in live_rows for c in W.rows[r]})
@@ -299,6 +282,24 @@ def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
     return rank
 
 
+#: GF(p) coefficients are limited to primes below this bound, so the
+#: primality test by trial division stays instant on any input
+MAX_PRIME = 2**31
+
+
+def _prime(coefficients) -> int:
+    """The prime p < MAX_PRIME named by ``coefficients``, or InvalidSpec."""
+    try:
+        p = int(coefficients)
+    except (TypeError, ValueError):
+        p = 0
+    if not 2 <= p < MAX_PRIME or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise InvalidSpec(
+            f"coefficients must be Z, Q or a prime below 2^31, not {coefficients!r}"
+        )
+    return p
+
+
 def _prime_powers(n: int) -> list[int]:
     out = []
     d = 2
@@ -328,11 +329,21 @@ class HomologyGroups:
         parts = []
         b = self.betti[k]
         if b == 1:
-            parts.append("Z")
+            parts.append(self.coefficients)
         elif b > 1:
-            parts.append(f"Z^{b}")
+            parts.append(f"{self.coefficients}^{b}")
         parts.extend(f"Z/{t}" for t in self.torsion[k])
         return " + ".join(parts) if parts else "0"
+
+    def is_spherical(self) -> bool:
+        """True iff these are the homology groups, with these coefficients,
+        of a sphere of the top dimension: the top group is free of rank 1
+        and all others vanish (H_0 of rank 1 when not reduced)."""
+        expected = [0] * len(self.betti)
+        expected[-1] += 1
+        if not self.reduced:
+            expected[0] += 1
+        return list(self.betti) == expected and not any(self.torsion)
 
     def report_text(self) -> str:
         return "\n".join(f"H_{k} = {self.group_text(k)}" for k in range(len(self.betti))) + "\n"
@@ -346,128 +357,29 @@ class HomologyGroups:
         }
 
 
-def _assemble_integer_homology(
-    K: SimplicialComplex, snfs: dict[int, SmithNormalForm], reduced: bool
-) -> HomologyGroups:
-    f = K.f_vector()
-    d = K.dim
-    betti = []
-    torsion = []
-    for k in range(d + 1):
-        rk = snfs[k].rank if k >= 1 else 0
-        rk1 = snfs[k + 1].rank if k + 1 <= d else 0
-        b = f[k] - rk - rk1
-        tor: list[int] = []
-        if k + 1 <= d:
-            for t in snfs[k + 1].torsion():
-                tor.extend(_prime_powers(t))
-        betti.append(b)
-        torsion.append(tuple(sorted(tor)))
-    if reduced:
-        betti[0] -= 1
-    return HomologyGroups(tuple(betti), tuple(torsion), reduced, "Z")
-
-
 def homology(K: SimplicialComplex, coefficients="Z", reduced: bool = False) -> HomologyGroups:
     """Homology groups of K.
 
     ``coefficients`` is "Z" (integral, the default), "Q" (rational), or a
-    prime p for GF(p).  Over a field the torsion entries are empty and the
-    Betti numbers are field dimensions.
+    prime p < 2^31 for GF(p), as an int or a decimal string; anything else
+    raises InvalidSpec.  Over a field the torsion entries are empty and the Betti
+    numbers are field dimensions.
     """
     d = K.dim
     f = K.f_vector()
-    if coefficients == "Z":
+    torsion: list[tuple[int, ...]] = [() for _ in range(d + 1)]
+    if coefficients in ("Z", "Q"):
         snfs = {k: smith_normal_form(boundary_matrix(K, k)) for k in range(1, d + 1)}
-        return _assemble_integer_homology(K, snfs, reduced)
-    if coefficients == "Q":
-        ranks = {k: smith_normal_form(boundary_matrix(K, k)).rank for k in range(1, d + 1)}
-        label = "Q"
+        ranks = {k: snf.rank for k, snf in snfs.items()}
+        label = coefficients
+        if coefficients == "Z":
+            for k in range(d):
+                torsion[k] = tuple(sorted(q for t in snfs[k + 1].torsion() for q in _prime_powers(t)))
     else:
-        p = int(coefficients)
+        p = _prime(coefficients)
         ranks = {k: rank_mod_p(boundary_matrix(K, k), p) for k in range(1, d + 1)}
         label = f"GF({p})"
-    betti = []
-    for k in range(d + 1):
-        rk = ranks.get(k, 0)
-        rk1 = ranks.get(k + 1, 0)
-        betti.append(f[k] - rk - rk1)
+    betti = [f[k] - ranks.get(k, 0) - ranks.get(k + 1, 0) for k in range(d + 1)]
     if reduced:
         betti[0] -= 1
-    return HomologyGroups(tuple(betti), tuple(() for _ in range(d + 1)), reduced, label)
-
-
-def is_spherical_homology(K: SimplicialComplex) -> bool:
-    """H_d = Z and all other reduced integral homology groups vanish."""
-    hg = homology(K, "Z", reduced=True)
-    d = K.dim
-    if hg.betti[d] != 1 or hg.torsion[d]:
-        return False
-    return all(hg.betti[k] == 0 and not hg.torsion[k] for k in range(d))
-
-
-def homology_with_matching(
-    K: SimplicialComplex,
-    result: MorseResult,
-    hasse: HasseDiagram | None = None,
-) -> HomologyGroups:
-    """Integral homology using an acyclic matching as the pivot schedule.
-
-    Matched pairs are eliminated first, ordered by a linear extension of
-    the reversed-arc acyclic order; the residual is finished by the
-    generic Smith normal form.  The result equals plain homology.
-    """
-    H = hasse if hasse is not None else build_hasse(K)
-    if not verify_acyclic_matching(H, result):
-        raise InconsistentMatching("matching is not acyclic")
-
-    d = K.dim
-    pairs_by_dim: dict[int, list[tuple[tuple, tuple]]] = {k: [] for k in range(1, d + 1)}
-    for low, high in result.matching:
-        pairs_by_dim[len(high) - 1].append((low, high))
-
-    snfs: dict[int, SmithNormalForm] = {}
-    for k in range(1, d + 1):
-        M = boundary_matrix(K, k)
-        hi_index = {f: i for i, f in enumerate(K.faces(k))}
-        lo_index = {f: i for i, f in enumerate(K.faces(k - 1))}
-        pairs = pairs_by_dim[k]
-        schedule = _matching_schedule(pairs, hi_index, lo_index)
-        snfs[k] = smith_normal_form(M, schedule=schedule)
-    return _assemble_integer_homology(K, snfs, reduced=False)
-
-
-def _matching_schedule(pairs, hi_index, lo_index) -> list[tuple[int, int]]:
-    """Order pairs so each pivot entry is still a unit when reached.
-
-    Pair P must come after pair Q whenever Q's low face lies in P's high
-    face; the acyclicity of the matching makes this relation a DAG.
-    """
-    by_low = {low: i for i, (low, _) in enumerate(pairs)}
-    out_edges: list[list[int]] = [[] for _ in pairs]
-    indeg = [0] * len(pairs)
-    for i, (low, high) in enumerate(pairs):
-        for j in range(len(high)):
-            sub = high[:j] + high[j + 1:]
-            q = by_low.get(sub)
-            if q is not None and q != i:
-                out_edges[i].append(q)
-                indeg[q] += 1
-    # reverse topological order: children (targets) first
-    order = []
-    stack = [i for i, dg in enumerate(indeg) if dg == 0]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        for q in out_edges[i]:
-            indeg[q] -= 1
-            if indeg[q] == 0:
-                stack.append(q)
-    order.reverse()
-    return [(hi_index[pairs[i][1]], lo_index[pairs[i][0]]) for i in order]
-
-
-def matrix_triplet_text(M: SparseIntMatrix) -> str:
-    """Plain triplet export: one `row col value` line per stored entry."""
-    lines = [f"{r} {c} {v}" for r, c, v in sorted(M.entries())]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return HomologyGroups(tuple(betti), tuple(torsion), reduced, label)

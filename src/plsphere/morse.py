@@ -35,9 +35,6 @@ class MorseResult:
     seed: int
     strategy: Strategy
 
-    def n_faces(self) -> int:
-        return 2 * len(self.matching) + len(self.critical)
-
 
 def is_spherical(vector: tuple[int, ...]) -> bool:
     """True iff the vector reads (1,0,...,0,1); for dimension 0, (2)."""
@@ -57,14 +54,11 @@ def random_discrete_morse(
     seed: int,
     hasse: HasseDiagram | None = None,
     capacity: int = DEFAULT_CAPACITY,
-    on_stuck=None,
 ) -> MorseResult:
     """One randomized collapse run; deterministic given (K, strategy, seed).
 
     ``hasse`` may be a prebuilt diagram of K to amortize construction over
-    many runs.  ``on_stuck`` is called once with the facet list of the
-    remaining subcomplex when a second positive-dimensional critical cell
-    is declared, a useful snapshot for diagnosing non-collapsing runs.
+    many runs.
     """
     H = hasse if hasse is not None else build_hasse(K, capacity)
     rng = Rng(seed)
@@ -96,9 +90,6 @@ def random_discrete_morse(
             for r, nd in enumerate(nodes):
                 rank[nd] = r
             level_orders.append(nodes)
-
-    positive_criticals = 0
-    stuck_reported = False
 
     for d in range(H.dim, 0, -1):
         lo_start, lo_end = level_start[d - 1], level_start[d]
@@ -181,10 +172,6 @@ def random_discrete_morse(
                 if tau < 0:
                     break  # level exhausted; the working dimension drops
                 critical_nodes.append(tau)
-                positive_criticals += 1
-                if positive_criticals == 2 and on_stuck is not None and not stuck_reported:
-                    stuck_reported = True
-                    on_stuck(H.alive_facets(alive))
 
             alive[tau] = 0
             if not lex:

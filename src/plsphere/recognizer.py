@@ -10,7 +10,7 @@ carries a replayable certificate; anything else is reported UNDECIDED.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .complex_core import DEFAULT_CAPACITY, Face, SimplicialComplex, build_hasse
@@ -50,9 +50,6 @@ class Certificate:
     kind: str
     payload: object = None
 
-    def summary(self) -> str:
-        return self.kind
-
 
 @dataclass
 class Verdict:
@@ -80,10 +77,8 @@ class RecognitionConfig:
     link_check_mode: str = "full_inductive"
     link_morse_rounds: int = 20
     capacity: int = DEFAULT_CAPACITY
-    use_morse: bool = True
     use_homology: bool = True
     use_pi1: bool = True
-    use_flips: bool = True
 
     def __post_init__(self):
         if self.morse_rounds < 0 or self.flip_rounds < 0:
@@ -190,7 +185,7 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
         raise PrereqFailed("heuristic pipeline requires dimension >= 3")
     log: list[str] = []
 
-    if cfg.use_morse and cfg.morse_rounds > 0:
+    if cfg.morse_rounds > 0:
         H = build_hasse(K, capacity=cfg.capacity)
         for r in range(cfg.morse_rounds):
             res = random_discrete_morse(K, cfg.strategy, seed=cfg.seed + r, hasse=H)
@@ -201,12 +196,7 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
 
     if cfg.use_homology:
         hg = homology(K, "Z", reduced=True)
-        spherical = (
-            hg.betti[d] == 1
-            and not hg.torsion[d]
-            and all(hg.betti[k] == 0 and not hg.torsion[k] for k in range(d))
-        )
-        if not spherical:
+        if not hg.is_spherical():
             log.append("homology: not that of a sphere")
             return Verdict(Answer.NO, Certificate("non_spherical_homology", hg), log)
         log.append("homology: spherical")
@@ -227,7 +217,7 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
             return Verdict(Answer.NO, Certificate("non_trivial_pi1", pv), log)
         log.append("pi1: inconclusive at budget")
 
-    if cfg.use_flips and cfg.flip_rounds > 0:
+    if cfg.flip_rounds > 0:
         result = bistellar_simplify(K, seed=cfg.seed, max_rounds=cfg.flip_rounds)
         if result.reached_simplex_boundary:
             log.append(f"flips: reached the simplex boundary after {result.rounds} rounds")
@@ -261,16 +251,7 @@ def is_combinatorial_manifold(
         return ManifoldReport(Answer.NO, [((), bad)], 0, 0, list(bad.log))
 
     d = K.dim
-    link_cfg = RecognitionConfig(
-        morse_rounds=cfg.link_morse_rounds,
-        flip_rounds=cfg.flip_rounds,
-        strategy=cfg.strategy,
-        seed=cfg.seed,
-        pi1_budget=cfg.pi1_budget,
-        link_check_mode=cfg.link_check_mode,
-        link_morse_rounds=cfg.link_morse_rounds,
-        capacity=cfg.capacity,
-    )
+    link_cfg = replace(cfg, morse_rounds=cfg.link_morse_rounds)
     cache: dict[frozenset, Verdict] = {}
     failures: list[tuple[Face, Verdict]] = []
     checked = hits = 0

@@ -19,6 +19,14 @@ def all_faces(facets):
     return out
 
 
+def link_naive(facets, face):
+    """Maximal faces g with g disjoint from ``face`` and g | face a face."""
+    faces = all_faces(facets)
+    fs = set(face)
+    lk = [g for g in faces if not fs & set(g) and tuple(sorted(fs | set(g))) in faces]
+    return {g for g in lk if not any(set(g) < set(h) for h in lk)}
+
+
 def f_vector_naive(facets):
     faces = all_faces(facets)
     d = max(len(f) for f in faces) - 1

@@ -92,6 +92,8 @@ def test_homology_command(capsys):
     code, out, _ = run(capsys, "homology", "rp2_6")
     assert code == 0
     assert out == "H_0 = Z\nH_1 = Z/2\nH_2 = 0\n"
+    code, out, _ = run(capsys, "homology", "rp2_6", "--coefficients", "2")
+    assert out == "H_0 = GF(2)\nH_1 = GF(2)\nH_2 = GF(2)\n"
     code, report = run_json(capsys, "homology", "rp2_6", "--coefficients", "2")
     assert report["betti"] == [1, 1, 1]
     code, report = run_json(capsys, "homology", "bd_simplex:4", "--reduced")
@@ -154,6 +156,20 @@ def test_data_error_exit_65(tmp_path, capsys):
     bad.write_text("0 1 1\n")
     code, out, err = run(capsys, "homology", str(bad))
     assert code == 65
+
+
+def test_homology_rejects_non_prime_coefficients(capsys):
+    for coefficients in ("0", "1", "4", "z", str(2**61 - 1)):
+        code, out, err = run(capsys, "homology", "rp2_6", "--coefficients", coefficients)
+        assert code == 65, coefficients
+        assert out == ""
+        assert "coefficients must be Z, Q or a prime below 2^31" in err
+
+
+def test_negative_subdivision_count_exit_65(capsys):
+    code, out, err = run(capsys, "check", "sd:-1:bd_simplex:3")
+    assert code == 65
+    assert "negative subdivision count" in err
 
 
 def test_seed_echoed(capsys):

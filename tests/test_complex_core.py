@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import all_faces, chain_count, euler_naive, f_vector_naive
+from _oracles import all_faces, chain_count, euler_naive, f_vector_naive, link_naive
 from plsphere import generators
-from plsphere.complex_core import SimplicialComplex, build_hasse, make_face
+from plsphere.complex_core import SimplicialComplex, build_hasse
 from plsphere.errors import (
     CapacityExceeded,
     DuplicateVertexInFacet,
@@ -25,10 +25,6 @@ def test_from_facets_errors():
         SimplicialComplex.from_facets([])
     with pytest.raises(DuplicateVertexInFacet):
         SimplicialComplex.from_facets([[0, 1, 1]])
-
-
-def test_make_face_sorts():
-    assert make_face([3, 1, 2]) == (1, 2, 3)
 
 
 def test_f_vector_against_oracle(small_corpus):
@@ -130,9 +126,9 @@ def test_hasse_levels_and_degrees(small_corpus):
             for node in H.level_range(k):
                 downs = H.down_neighbors(node)
                 assert len(downs) == k + 1
-                face = H.node_face(node)
+                face = H.faces[node]
                 for dn in downs:
-                    assert set(H.node_face(dn)) < set(face)
+                    assert set(H.faces[dn]) < set(face)
 
 
 def test_hasse_up_down_consistency():
@@ -166,6 +162,14 @@ def test_complex_matches_oracles_on_random_inputs(facets):
     assert K.f_vector() == f_vector_naive(facets)
     assert K.euler_characteristic() == euler_naive(facets)
     faces = all_faces(facets)
-    # closure under subsets
+    assert K.link(()).facets == K.facets
+    # closure under subsets; stars and links against their definitions
     for f in faces:
         assert K.has_face(f)
+        assert K.star(f) == [g for g in K.facets if set(f) <= set(g)]
+        expected = link_naive(facets, f)
+        if expected:
+            assert set(K.link(f).facets) == expected
+        else:
+            with pytest.raises(NotAFace):
+                K.link(f)

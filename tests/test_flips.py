@@ -10,7 +10,6 @@ from plsphere.flips import (
     FlipState,
     bistellar_simplify,
     default_heat_weights,
-    raw_options,
     reached_simplex_boundary,
     replay,
     trajectory_tsv,
@@ -18,33 +17,33 @@ from plsphere.flips import (
 from plsphere.rng import Rng
 
 
-def _fresh_counts(facets):
-    cnt = {}
+def _fresh_star(facets):
+    star = {}
     for f in facets:
         for r in range(1, len(f) + 1):
             for sub in combinations(f, r):
-                cnt[sub] = cnt.get(sub, 0) + 1
-    return cnt
+                star.setdefault(sub, set()).add(f)
+    return star
 
 
 def test_raw_options_boundary_of_simplex_3():
     K = generators.boundary_of_simplex(3)
-    opts = raw_options(K)
+    state = FlipState(K, Rng(0))
+    opts = [state.options_at(i) for i in range(K.dim + 1)]
     assert len(opts[0]) == 4  # every vertex has degree 3 = d+1
     assert len(opts[1]) == 6  # every edge lies in exactly 2 facets
     assert len(opts[2]) == 4  # every facet is a 0-move option
     # 2-neighborly: every edge-flip would duplicate an existing edge
-    state = FlipState(K, Rng(0))
-    assert all(not state.is_proper(o.face) for o in opts[1])
-    assert all(state.is_proper(o.face) for o in opts[2])
+    assert all(not state.is_proper(f) for f in opts[1])
+    assert all(state.is_proper(f) for f in opts[2])
 
 
 def test_raw_options_octahedron_has_no_vertex_options():
     octa = generators.suspension(generators.suspension(generators.boundary_of_simplex(1)))
     assert octa.f_vector() == (6, 12, 8)
-    opts = raw_options(octa)
-    assert len(opts[0]) == 0  # every vertex lies in 4 > 3 triangles
-    assert len(opts[2]) == 8
+    state = FlipState(octa, Rng(0))
+    assert len(state.options_at(0)) == 0  # every vertex lies in 4 > 3 triangles
+    assert len(state.options_at(2)) == 8
 
 
 def test_non_pseudomanifold_rejected():
@@ -93,8 +92,7 @@ def test_incremental_index_matches_scratch_after_moves():
         except ImproperMove:
             state.random_move(move_dim=0)
         if i % 10 == 9:
-            cnt = _fresh_counts(state.facets)
-            assert cnt == state.count
+            assert _fresh_star(state.facets) == state.star
             fresh = FlipState(state.to_complex(), Rng(0))
             assert fresh.candidates == state.candidates
             assert fresh.f == state.f

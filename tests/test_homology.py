@@ -9,8 +9,6 @@ from plsphere.homology import (
     SparseIntMatrix,
     boundary_matrix,
     homology,
-    is_spherical_homology,
-    matrix_triplet_text,
     rank_mod_p,
     smith_normal_form,
 )
@@ -117,7 +115,8 @@ def test_sphere_homology():
         expected = tuple(1 if k in (0, d - 1) else 0 for k in range(d))
         assert hg.betti == expected
         assert all(not t for t in hg.torsion)
-        assert is_spherical_homology(K)
+        assert hg.is_spherical()
+        assert homology(K, reduced=True).is_spherical()
 
 
 def test_projective_plane_homology():
@@ -126,7 +125,7 @@ def test_projective_plane_homology():
     assert hg.betti == (1, 0, 0)
     assert hg.torsion == ((), (2,), ())
     assert hg.report_text() == "H_0 = Z\nH_1 = Z/2\nH_2 = 0\n"
-    assert not is_spherical_homology(K)
+    assert not homology(K, reduced=True).is_spherical()
 
     gf2 = homology(K, 2)
     assert gf2.betti == (1, 1, 1)
@@ -161,7 +160,3 @@ def test_torsion_prime_power_decomposition():
     assert _prime_powers(2) == [2]
     assert _prime_powers(360) == [8, 9, 5]
 
-
-def test_triplet_export():
-    M = _to_sparse([[0, 2], [-1, 0]])
-    assert matrix_triplet_text(M) == "0 1 2\n1 0 -1\n"

@@ -1,7 +1,7 @@
 import pytest
 
 from _oracles import betti_over_q
-from plsphere import generators, homology
+from plsphere import generators
 from plsphere.complex_core import build_hasse
 from plsphere.errors import InconsistentMatching
 from plsphere.morse import (
@@ -123,17 +123,6 @@ def test_saw_blade_never_collapses(corpus):
             assert res.vector[2] >= 1
 
 
-def test_on_stuck_callback():
-    K = generators.saw_blade(1)
-    snapshots = []
-    random_discrete_morse(
-        K, Strategy.RANDOM_RANDOM, seed=0, on_stuck=lambda facets: snapshots.append(facets)
-    )
-    # contractible but non-collapsible: a second critical cell must appear
-    assert len(snapshots) == 1
-    assert all(len(f) <= 3 for f in snapshots[0])
-
-
 def test_spectrum_counts_and_tsv():
     K = generators.simplex(4)
     res = morse_spectrum(K, Strategy.RANDOM_RANDOM, rounds=100, seed=5)
@@ -156,12 +145,3 @@ def test_spectrum_on_projective_plane():
     # (1,1,1) is the minimal vector here and should dominate
     assert res.counts.get((1, 1, 1), 0) > 100
 
-
-def test_homology_with_matching_agrees(small_corpus):
-    for name, K in small_corpus.items():
-        H = build_hasse(K)
-        res = random_discrete_morse(K, Strategy.RANDOM_RANDOM, seed=4, hasse=H)
-        from plsphere.homology import homology_with_matching
-
-        assert homology_with_matching(K, res, hasse=H).report_dict() == \
-            homology(K).report_dict(), name

@@ -97,7 +97,7 @@ def test_recognize_suspension_of_rp2():
 
 
 def test_pi1_path_and_dimension_4_guard():
-    cfg = RecognitionConfig(use_morse=False, use_flips=False)
+    cfg = RecognitionConfig(morse_rounds=0, flip_rounds=0)
     v3 = recognize_sphere(generators.boundary_of_simplex(4), cfg)
     assert v3.answer is Answer.YES and v3.certificate.kind == "trivial_pi1"
     v4 = recognize_sphere(generators.boundary_of_simplex(5), cfg)
@@ -117,7 +117,7 @@ def test_homology_no_path():
 
 
 def test_flip_path_yes():
-    cfg = RecognitionConfig(use_morse=False, use_pi1=False, flip_rounds=10**4)
+    cfg = RecognitionConfig(morse_rounds=0, use_pi1=False, flip_rounds=10**4)
     K = generators.perturbed_sphere(3, 6, 20, 0, seed=12)
     v = recognize_sphere(K, cfg)
     assert v.answer is Answer.YES
@@ -126,7 +126,7 @@ def test_flip_path_yes():
 
 
 def test_undecided_when_all_tests_disabled():
-    cfg = RecognitionConfig(use_morse=False, use_homology=False, use_pi1=False, use_flips=False)
+    cfg = RecognitionConfig(morse_rounds=0, use_homology=False, use_pi1=False, flip_rounds=0)
     v = recognize_sphere(generators.boundary_of_simplex(4), cfg)
     assert v.answer is Answer.UNDECIDED
     assert v.certificate is None
