@@ -197,7 +197,6 @@ def _cmd_recognize(args) -> int:
         strategy=Strategy(args.strategy),
         seed=args.seed,
         pi1_budget=args.pi1_budget,
-        link_check_mode=args.link_check_mode,
     )
     verdict = recognize(K, cfg)
     report = {"seed": args.seed, **verdict.as_dict()}
@@ -270,11 +269,6 @@ def build_parser() -> _Parser:
     r.add_argument("--strategy", choices=[st.value for st in Strategy], default="random-random")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--pi1-budget", type=int, default=10**6)
-    r.add_argument(
-        "--link-check-mode",
-        choices=("full_inductive", "vertices_only", "skip_links"),
-        default="full_inductive",
-    )
 
     return p
 

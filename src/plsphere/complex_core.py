@@ -58,17 +58,9 @@ class SimplicialComplex:
             if len(set(f)) != len(f):
                 raise DuplicateVertexInFacet(i, raw)
             faces.add(f)
-        # drop non-maximal faces
-        by_size = sorted(faces, key=len, reverse=True)
-        maximal = []
-        kept = []
-        for f in by_size:
-            fs = set(f)
-            if any(fs <= g for g in kept):
-                continue
-            kept.append(fs)
-            maximal.append(f)
-        return cls(maximal)
+        # a face is maximal iff no other input face contains it
+        everything = cls(faces)
+        return cls(f for f in faces if len(everything.star(f)) == 1)
 
     # -- basic queries ----------------------------------------------------
 
@@ -198,10 +190,8 @@ class SimplicialComplex:
         if not star or star == [f]:
             raise NotAFace(f"{f} is not a proper face with non-void link")
         fs = set(f)
-        link_facets = [tuple(v for v in g if v not in fs) for g in star]
-        # facets of the link are automatically maximal when f is a face of
-        # a complex whose facets all strictly contain f; guard anyway
-        return SimplicialComplex.from_facets(link_facets)
+        # distinct facets minus a common face stay distinct and maximal
+        return SimplicialComplex(tuple(v for v in g if v not in fs) for g in star)
 
     def barycentric_subdivision(self, capacity: int = DEFAULT_CAPACITY) -> "SimplicialComplex":
         """Order complex of the face poset.

@@ -6,6 +6,13 @@ non-spherical answer certifies NO), a bounded fundamental-group triviality
 test (YES off dimension 4, where only the topological type follows), and
 bistellar simplification toward the boundary of a simplex.  Every YES or NO
 carries a replayable certificate; anything else is reported UNDECIDED.
+
+:func:`recognize` runs :func:`precheck` once, and the later stages rely on
+what it proves: the complex is pure, every ridge lies in exactly two facets,
+and the 1-skeleton is connected.  So a passing 0-dimensional complex is two
+points, a passing 1-dimensional one is a single cycle, and the link of an
+i-face has dimension d - i - 1.  The link of a ridge is two points, a
+0-sphere, so the inductive manifold check stops at the (d - 2)-faces.
 """
 
 from __future__ import annotations
@@ -20,6 +27,9 @@ from .homology import homology
 from .morse import Strategy, is_spherical, random_discrete_morse
 from .pi1 import Verdict as Pi1Verdict
 from .pi1 import pi1_presentation, triviality_verdict
+
+#: Morse rounds per link in the manifold check
+LINK_MORSE_ROUNDS = 20
 
 
 class Answer(Enum):
@@ -72,18 +82,12 @@ class RecognitionConfig:
     strategy: Strategy = Strategy.RANDOM_RANDOM
     seed: int = 0
     pi1_budget: int = 10**6
-    #: full_inductive checks links of every proper face; vertices_only only
-    #: the vertex links; skip_links trusts the caller (at their risk)
-    link_check_mode: str = "full_inductive"
-    link_morse_rounds: int = 20
     capacity: int = DEFAULT_CAPACITY
-    use_homology: bool = True
-    use_pi1: bool = True
 
     def __post_init__(self):
         if self.morse_rounds < 0 or self.flip_rounds < 0:
             raise PrereqFailed("round counts must be >= 0")
-        if self.pi1_budget <= 0 or self.capacity <= 0 or self.link_morse_rounds <= 0:
+        if self.pi1_budget <= 0 or self.capacity <= 0:
             raise PrereqFailed("budgets must be positive")
 
 
@@ -117,30 +121,6 @@ def precheck(K: SimplicialComplex) -> Verdict | None:
     return None
 
 
-def _is_single_cycle(edges: list[Face], vertices: list[int]) -> bool:
-    if not vertices or len(edges) != len(vertices):
-        return False
-    deg: dict[int, int] = {v: 0 for v in vertices}
-    for a, b in edges:
-        deg[a] += 1
-        deg[b] += 1
-    if any(d != 2 for d in deg.values()):
-        return False
-    # connectivity of the cycle graph
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = {vertices[0]}
-    stack = [vertices[0]]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == len(vertices)
-
-
 def recognize_small_dim(K: SimplicialComplex) -> Verdict:
     """Exact sphere recognition in dimensions 0, 1 and 2."""
     d = K.dim
@@ -150,18 +130,13 @@ def recognize_small_dim(K: SimplicialComplex) -> Verdict:
     if bad is not None:
         return bad
     if d == 0:
-        n = K.n_vertices
-        if n == 2:
-            return Verdict(Answer.YES, Certificate("vertex_count", 2), ["two isolated vertices"])
-        return Verdict(Answer.NO, Certificate("vertex_count", n), [f"{n} vertices, need 2"])
+        return Verdict(Answer.YES, Certificate("vertex_count", 2), ["two isolated vertices"])
     if d == 1:
-        if _is_single_cycle(list(K.facets), list(K.vertices)):
-            return Verdict(Answer.YES, Certificate("polygon", K.f_vector()), ["single cycle"])
-        return Verdict(Answer.NO, Certificate("polygon", K.f_vector()), ["not a single cycle"])
-    # d == 2: closed surface iff every vertex link is a single cycle
+        return Verdict(Answer.YES, Certificate("polygon", K.f_vector()), ["single cycle"])
+    # d == 2: closed surface iff every vertex link is a single cycle, that is,
+    # passes the precheck
     for v in K.vertices:
-        L = K.link((v,))
-        if L.dim != 1 or not _is_single_cycle(list(L.faces(1)), list(L.vertices)):
+        if precheck(K.link((v,))) is not None:
             return Verdict(
                 Answer.NO,
                 Certificate("link_failure", (v,)),
@@ -194,28 +169,26 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
                 return Verdict(Answer.YES, Certificate("spherical_morse", res), log)
         log.append(f"morse: no spherical vector in {cfg.morse_rounds} rounds")
 
-    if cfg.use_homology:
-        hg = homology(K, "Z", reduced=True)
-        if not hg.is_spherical():
-            log.append("homology: not that of a sphere")
-            return Verdict(Answer.NO, Certificate("non_spherical_homology", hg), log)
-        log.append("homology: spherical")
+    hg = homology(K, "Z", reduced=True)
+    if not hg.is_spherical():
+        log.append("homology: not that of a sphere")
+        return Verdict(Answer.NO, Certificate("non_spherical_homology", hg), log)
+    log.append("homology: spherical")
 
-    if cfg.use_pi1:
-        P = pi1_presentation(K, base_tree_seed=cfg.seed)
-        pv = triviality_verdict(P, cfg.pi1_budget)
-        if pv.verdict is Pi1Verdict.TRIVIAL:
-            log.append("pi1: presentation simplified to trivial")
-            if d == 4:
-                # simply connected homology 4-sphere: topological type only
-                return Verdict(
-                    Answer.TOPOLOGICAL_SPHERE_ONLY, Certificate("trivial_pi1", pv), log
-                )
-            return Verdict(Answer.YES, Certificate("trivial_pi1", pv), log)
-        if pv.verdict is Pi1Verdict.NON_TRIVIAL:
-            log.append(f"pi1: non-trivial abelianization {pv.abelianization}")
-            return Verdict(Answer.NO, Certificate("non_trivial_pi1", pv), log)
-        log.append("pi1: inconclusive at budget")
+    P = pi1_presentation(K, base_tree_seed=cfg.seed)
+    pv = triviality_verdict(P, cfg.pi1_budget)
+    if pv.verdict is Pi1Verdict.TRIVIAL:
+        log.append("pi1: presentation simplified to trivial")
+        if d == 4:
+            # simply connected homology 4-sphere: topological type only
+            return Verdict(
+                Answer.TOPOLOGICAL_SPHERE_ONLY, Certificate("trivial_pi1", pv), log
+            )
+        return Verdict(Answer.YES, Certificate("trivial_pi1", pv), log)
+    if pv.verdict is Pi1Verdict.NON_TRIVIAL:
+        log.append(f"pi1: non-trivial abelianization {pv.abelianization}")
+        return Verdict(Answer.NO, Certificate("non_trivial_pi1", pv), log)
+    log.append("pi1: inconclusive at budget")
 
     if cfg.flip_rounds > 0:
         result = bistellar_simplify(K, seed=cfg.seed, max_rounds=cfg.flip_rounds)
@@ -240,8 +213,9 @@ class ManifoldReport:
 def is_combinatorial_manifold(
     K: SimplicialComplex, cfg: RecognitionConfig | None = None
 ) -> ManifoldReport:
-    """Check that every proper face link is a PL sphere of the right dim.
+    """Check that the link of every face of dimension <= d - 2 is a PL sphere.
 
+    A precheck failure is reported as the single failure ``((), verdict)``.
     Works bottom-up by face dimension (vertex links first) and caches link
     verdicts by facet set, since links repeat heavily in structured inputs.
     """
@@ -250,28 +224,20 @@ def is_combinatorial_manifold(
     if bad is not None:
         return ManifoldReport(Answer.NO, [((), bad)], 0, 0, list(bad.log))
 
-    d = K.dim
-    link_cfg = replace(cfg, morse_rounds=cfg.link_morse_rounds)
+    link_cfg = replace(cfg, morse_rounds=LINK_MORSE_ROUNDS)
     cache: dict[frozenset, Verdict] = {}
     failures: list[tuple[Face, Verdict]] = []
     checked = hits = 0
     log: list[str] = []
     undecided = False
 
-    max_i = 0 if cfg.link_check_mode == "vertices_only" else d - 1
-    for i in range(max_i + 1):
+    for i in range(K.dim - 1):
         for F in K.faces(i):
             L = K.link(F)
             key = frozenset(L.facets)
             verdict = cache.get(key)
             if verdict is None:
-                if L.dim != d - i - 1:
-                    verdict = Verdict(
-                        Answer.NO,
-                        Certificate("link_failure", F),
-                        [f"link of {F} has dimension {L.dim}, expected {d - i - 1}"],
-                    )
-                elif L.dim <= 2:
+                if L.dim <= 2:
                     verdict = recognize_small_dim(L)
                 else:
                     pre = precheck(L)
@@ -294,29 +260,25 @@ def is_combinatorial_manifold(
 
 
 def recognize(K: SimplicialComplex, cfg: RecognitionConfig | None = None) -> Verdict:
-    """Full decision procedure: prechecks, exact small dimensions, the
-    inductive manifold check, then the heuristic pipeline."""
+    """Full decision procedure: exact small dimensions, else the precheck and
+    the inductive manifold check, then the heuristic pipeline."""
     cfg = cfg or RecognitionConfig()
-    bad = precheck(K)
-    if bad is not None:
-        return bad
     if K.dim <= 2:
         return recognize_small_dim(K)
-
-    if cfg.link_check_mode != "skip_links":
-        report = is_combinatorial_manifold(K, cfg)
-        if report.summary is Answer.NO:
-            face, verdict = report.failures[0]
-            return Verdict(
-                Answer.NO,
-                Certificate("link_failure", (face, verdict)),
-                report.log + ["not a combinatorial manifold"],
-            )
-        if report.summary is not Answer.YES:
-            return Verdict(
-                Answer.UNDECIDED,
-                None,
-                report.log + ["manifold check inconclusive"],
-            )
-    verdict = recognize_sphere(K, cfg)
-    return verdict
+    report = is_combinatorial_manifold(K, cfg)
+    if report.summary is Answer.NO:
+        face, verdict = report.failures[0]
+        if face == ():
+            return verdict
+        return Verdict(
+            Answer.NO,
+            Certificate("link_failure", (face, verdict)),
+            report.log + ["not a combinatorial manifold"],
+        )
+    if report.summary is not Answer.YES:
+        return Verdict(
+            Answer.UNDECIDED,
+            None,
+            report.log + ["manifold check inconclusive"],
+        )
+    return recognize_sphere(K, cfg)

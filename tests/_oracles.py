@@ -137,3 +137,52 @@ def chain_count(facets, length):
         cur = nxt
         total = sum(cur.values())
     return total
+
+
+def _is_connected(vertices, edges):
+    """Whether the graph on ``vertices`` with these edges is connected."""
+    vertices = set(vertices)
+    if not vertices:
+        return False
+    start = min(vertices)
+    seen, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for e in edges:
+            if v in e:
+                for w in e:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+    return seen == vertices
+
+
+def _is_cycle_graph(vertices, edges):
+    """Connected, and every vertex lies on exactly two edges."""
+    return _is_connected(vertices, edges) and all(
+        sum(v in e for e in edges) == 2 for v in vertices
+    )
+
+
+def is_sphere_small_dim_naive(facets):
+    """Whether a complex of dimension <= 2 is a sphere, from the definitions:
+    two points; a cycle graph; or a connected closed surface (every edge in
+    two triangles, every vertex link a cycle) with Euler characteristic 2."""
+    faces = all_faces(facets)
+    d = max(len(f) for f in faces) - 1
+    vertices = {f[0] for f in faces if len(f) == 1}
+    edges = [f for f in faces if len(f) == 2]
+    if d == 0:
+        return len(vertices) == 2
+    if d == 1:
+        return _is_cycle_graph(vertices, edges)
+    triangles = [f for f in faces if len(f) == 3]
+    for v in vertices:
+        lk = link_naive(facets, (v,))
+        if not _is_cycle_graph({w for g in lk for w in g}, [g for g in lk if len(g) == 2]):
+            return False
+    return (
+        all(sum(set(e) <= set(t) for t in triangles) == 2 for e in edges)
+        and _is_connected(vertices, edges)
+        and euler_naive(facets) == 2
+    )

@@ -159,6 +159,9 @@ def facet_lists(draw):
 @settings(max_examples=100, deadline=None)
 def test_complex_matches_oracles_on_random_inputs(facets):
     K = SimplicialComplex.from_facets(facets)
+    given_faces = {tuple(sorted(f)) for f in facets}
+    maximal = {f for f in given_faces if not any(set(f) < set(g) for g in given_faces)}
+    assert set(K.facets) == maximal
     assert K.f_vector() == f_vector_naive(facets)
     assert K.euler_characteristic() == euler_naive(facets)
     faces = all_faces(facets)

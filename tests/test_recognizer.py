@@ -1,11 +1,17 @@
-import pytest
+from itertools import combinations
 
-from plsphere import generators
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from _oracles import is_sphere_small_dim_naive
+from plsphere import generators, recognizer
 from plsphere.complex_core import SimplicialComplex
 from plsphere.errors import PrereqFailed
 from plsphere.morse import Strategy
 from plsphere.recognizer import (
     Answer,
+    Certificate,
     RecognitionConfig,
     is_combinatorial_manifold,
     precheck,
@@ -69,6 +75,60 @@ def test_dimension_two_spheres_and_non_spheres():
     assert v.certificate.kind == "link_failure"
 
 
+SURFACES = (
+    generators.boundary_of_simplex(3).facets,
+    generators.suspension(generators.suspension(generators.boundary_of_simplex(1))).facets,
+)
+
+
+@st.composite
+def small_dim_facet_lists(draw):
+    """Facet lists of dimension <= 2: random facet subsets (plus, at times, a
+    stray lower face), one relabeled 2-sphere, disjoint unions of two of them,
+    two of them glued at one or two vertices, and rp2_6."""
+    kind = draw(st.sampled_from(("subset", "sphere", "union", "wedge", "rp2")))
+    if kind == "rp2":
+        return [list(f) for f in generators.rp2_6().facets]
+    if kind == "subset":
+        k = draw(st.integers(0, 2))
+        n = draw(st.integers(k + 2, 6))
+        pool = list(combinations(range(n), k + 1))
+        chosen = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+        stray = st.sets(st.integers(0, n + 1), min_size=1, max_size=k + 1)
+        return [list(f) for f in chosen] + [sorted(f) for f in draw(st.lists(stray, max_size=1))]
+    pieces = []
+    for offset in range(1 if kind == "sphere" else 2):
+        facets = draw(st.sampled_from(SURFACES))
+        labels = draw(st.permutations(range(6)))
+        pieces.append([[labels[v] + 10 * offset for v in f] for f in facets])
+    if kind == "wedge":
+        # one glued vertex pair gives chi = 3; two pairs give chi = 2
+        pairs = draw(st.integers(1, 2))
+        glued = draw(st.permutations(range(10, 16)))[:pairs]
+        glue = dict(zip(glued, draw(st.permutations(range(6)))))
+        pieces[1] = [[glue.get(v, v) for v in f] for f in pieces[1]]
+    return [f for piece in pieces for f in piece]
+
+
+@given(small_dim_facet_lists())
+@example([[0], [1]])  # two points
+@example([[0], [1], [2]])  # a ridge (the empty face) in three facets
+@example([[0, 1], [1, 2], [0, 2]])  # a cycle
+@example([[0, 1], [1, 2], [0, 2], [3]])  # not pure
+@example([[0, 1], [1, 2], [0, 2], [3, 4], [4, 5], [3, 5]])  # disconnected
+# glued at one vertex
+@example([list(f) for f in SURFACES[0]] + [[0, 4, 5], [0, 5, 6], [0, 4, 6], [4, 5, 6]])
+# glued at two vertices: chi = 2, but two vertex links are not cycles
+@example([list(f) for f in SURFACES[1]] + [[0, 1, 12], [0, 1, 13], [0, 12, 13], [1, 12, 13]])
+@example([list(f) for f in generators.rp2_6().facets])  # chi = 1
+@example([list(f) for f in SURFACES[1]])  # chi = 2
+@settings(max_examples=150, deadline=None)
+def test_small_dim_recognition_matches_oracle(facets):
+    v = recognize(SimplicialComplex.from_facets(facets))
+    assert v.answer in (Answer.YES, Answer.NO)
+    assert (v.answer is Answer.YES) == is_sphere_small_dim_naive(facets)
+
+
 def test_small_dim_rejects_high_dimension():
     with pytest.raises(PrereqFailed):
         recognize_small_dim(generators.boundary_of_simplex(4))
@@ -96,6 +156,42 @@ def test_recognize_suspension_of_rp2():
     assert v.certificate.kind == "link_failure"
 
 
+@pytest.fixture
+def prechecked(monkeypatch):
+    """The complexes passed to ``precheck``, in call order."""
+    seen = []
+
+    def counting_precheck(K):
+        seen.append(K)
+        return precheck(K)
+
+    monkeypatch.setattr(recognizer, "precheck", counting_precheck)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "facets, witness",
+    [
+        ([(0, 1, 2, 3), (3, 4)], "pseudomanifold check needs a pure complex"),
+        # the triangle (0, 1, 2) lies in three tetrahedra
+        ([(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)], ((0, 1, 2), 3)),
+    ],
+)
+def test_precheck_failure_in_dimension_3_is_returned_as_is(facets, witness, prechecked):
+    K = SimplicialComplex.from_facets(facets)
+    v = recognize(K)
+    assert prechecked == [K]
+    assert v == precheck(K)
+    assert v.answer is Answer.NO
+    assert v.certificate == Certificate("pseudomanifold_failure", witness)
+
+
+def test_recognize_prechecks_the_input_once(prechecked):
+    K = generators.boundary_of_simplex(4)
+    assert recognize(K).answer is Answer.YES
+    assert sum(L is K for L in prechecked) == 1
+
+
 def test_pi1_path_and_dimension_4_guard():
     cfg = RecognitionConfig(morse_rounds=0, flip_rounds=0)
     v3 = recognize_sphere(generators.boundary_of_simplex(4), cfg)
@@ -117,19 +213,22 @@ def test_homology_no_path():
 
 
 def test_flip_path_yes():
-    cfg = RecognitionConfig(morse_rounds=0, use_pi1=False, flip_rounds=10**4)
+    # a pi1 budget of 1 leaves the pi1 stage inconclusive
+    cfg = RecognitionConfig(morse_rounds=0, pi1_budget=1, flip_rounds=10**4)
     K = generators.perturbed_sphere(3, 6, 20, 0, seed=12)
     v = recognize_sphere(K, cfg)
     assert v.answer is Answer.YES
     assert v.certificate.kind == "flip_path"
     assert v.certificate.payload.reached_simplex_boundary
+    assert "pi1: inconclusive at budget" in v.log
 
 
 def test_undecided_when_all_tests_disabled():
-    cfg = RecognitionConfig(morse_rounds=0, use_homology=False, use_pi1=False, flip_rounds=0)
+    cfg = RecognitionConfig(morse_rounds=0, pi1_budget=1, flip_rounds=0)
     v = recognize_sphere(generators.boundary_of_simplex(4), cfg)
     assert v.answer is Answer.UNDECIDED
     assert v.certificate is None
+    assert v.log == ["homology: spherical", "pi1: inconclusive at budget"]
 
 
 def test_manifold_verifier_yes():
@@ -149,13 +248,6 @@ def test_manifold_verifier_no_with_witness():
     assert r.summary is Answer.NO
     face, verdict = r.failures[0]
     assert S.link(face) == generators.rp2_6()
-
-
-def test_manifold_verifier_vertices_only():
-    cfg = RecognitionConfig(link_check_mode="vertices_only")
-    r = is_combinatorial_manifold(generators.boundary_of_simplex(4), cfg)
-    assert r.summary is Answer.YES
-    assert r.links_checked <= 5
 
 
 def test_config_validation():
