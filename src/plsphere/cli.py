@@ -10,6 +10,7 @@ specifiers like ``simplex:8``, ``bd_simplex:4``, ``sd:2:bd_simplex:4``,
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 
@@ -55,8 +56,16 @@ def resolve_complex(spec: str, capacity: int = DEFAULT_CAPACITY) -> SimplicialCo
             K = K.barycentric_subdivision(capacity=capacity)
         return K
     if head in generators.GENERATORS:
-        parts = spec.split(":")[1:]
-        return generators.GENERATORS[head](*[int(p) for p in parts])
+        build = generators.GENERATORS[head]
+        params = [int(p) for p in spec.split(":")[1:]]
+        signature = inspect.signature(build)
+        try:
+            signature.bind(*params)
+        except TypeError:
+            raise InvalidSpec(
+                f"{head} takes {len(signature.parameters)} parameter(s), not {len(params)}"
+            ) from None
+        return build(*params)
     return io.read_complex(spec)
 
 

@@ -180,16 +180,11 @@ class FlipState:
         return tuple(self.f)
 
 
-def reached_simplex_boundary(K_or_state) -> bool:
+def reached_simplex_boundary(K: SimplicialComplex) -> bool:
     """True iff the complex is the full boundary of a (d+1)-simplex."""
-    if isinstance(K_or_state, FlipState):
-        d = K_or_state.d
-        facets = K_or_state.facets
-        verts = {v for f in facets for v in f}
-    else:
-        d = K_or_state.dim
-        facets = set(K_or_state.facets)
-        verts = set(K_or_state.vertices)
+    d = K.dim
+    facets = set(K.facets)
+    verts = set(K.vertices)
     if len(verts) != d + 2 or len(facets) != d + 2:
         return False
     return facets == {tuple(sorted(c)) for c in combinations(sorted(verts), d + 1)}
@@ -284,7 +279,9 @@ def bistellar_simplify(
     stalled = 0  # local minima hit without improving the best f-vector
     heating_left = 0
 
-    while state.round < max_rounds and not reached_simplex_boundary(state):
+    # d+2 distinct d-faces on d+2 vertices are all of them: the boundary
+    # of a (d+1)-simplex
+    while state.round < max_rounds and not state.f[0] == state.f[state.d] == state.d + 2:
         if heating_left > 0:
             _heating_move(state, weights)
             heating_left -= 1

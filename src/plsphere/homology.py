@@ -1,14 +1,15 @@
 """Integer simplicial homology via elimination-based Smith normal form.
 
-Boundary matrices are kept sparse (dict-of-dict rows plus column indexes)
-and eliminated greedily on unit pivots with a Markowitz-style fill-in
-heuristic; the usually tiny residual block is finished with the classical
-Euclidean Smith normal form over arbitrary-precision integers.
+Boundary matrices are kept sparse (dict-of-dict rows plus column indexes).
+One elimination serves Z and GF(p): it walks the rows once, in index
+order, and pivots each row on its unit entry in the column with the fewest
+rows.  Over Z the usually tiny residual of rows without a +-1 entry is
+finished with the classical Euclidean Smith normal form over
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from math import isqrt
 
@@ -93,64 +94,46 @@ def boundary_matrix(K: SimplicialComplex, k: int) -> SparseIntMatrix:
     return M
 
 
-def _pivot_unit(M: SparseIntMatrix, r: int, c: int) -> None:
-    """Eliminate with the unit entry at (r, c) and retire its row/column."""
-    rows, col_rows = M.rows, M.col_rows
-    val = rows[r][c]
-    prow = rows[r]
-    for r2 in list(col_rows[c]):
-        if r2 == r:
-            continue
-        row2 = rows[r2]
-        f = row2[c] * val  # val in {1,-1} so val == val^-1
-        for k, v in prow.items():
-            if k == c:
-                continue
-            new = row2.get(k, 0) - f * v
-            if new:
-                row2[k] = new
-                col_rows[k].add(r2)
-            elif k in row2:
-                del row2[k]
-                col_rows[k].discard(r2)
-        del row2[c]
-        col_rows[c].discard(r2)
-    # row r's remaining entries are cleared by column operations that touch
-    # only row r (its column is already clear) -- drop the row wholesale
-    for k in prow:
-        col_rows[k].discard(r)
-    rows[r] = {}
+def _eliminate(M: SparseIntMatrix, p: int = 0) -> int:
+    """Pivot each row of M once, in index order; returns the pivot count.
 
-
-def _unit_phase(M: SparseIntMatrix) -> int:
-    """Pivot on unit entries until none remain; returns the pivot count."""
+    Over Z (``p == 0``) a row's units are its entries +1 and -1; over GF(p)
+    (entries already reduced mod p) every entry is a unit.  A row with a
+    unit is pivoted on the unit whose column has the fewest rows: that
+    column is cleared from the other rows, and the row itself is retired,
+    since column operations that touch only it clear the rest.  Over Z a
+    row without a unit at its turn is left for the dense step.
+    """
     rows, col_rows = M.rows, M.col_rows
     pivots = 0
-    heap: list[tuple[int, int, int]] = []
-    for r, row in enumerate(rows):
-        rl = len(row) - 1
-        for c, v in row.items():
-            if v in (1, -1):
-                heap.append(((rl) * (len(col_rows[c]) - 1), r, c))
-    heapq.heapify(heap)
-    while heap:
-        cost, r, c = heapq.heappop(heap)
-        v = rows[r].get(c)
-        if v not in (1, -1):
+    for r, prow in enumerate(rows):
+        units = [c for c, v in prow.items() if p or v in (1, -1)]
+        if not units:
             continue
-        cur = (len(rows[r]) - 1) * (len(col_rows[c]) - 1)
-        if cur > cost:
-            heapq.heappush(heap, (cur, r, c))
-            continue
-        touched = [r2 for r2 in col_rows[c] if r2 != r]
-        _pivot_unit(M, r, c)
-        pivots += 1
-        for r2 in touched:
+        c = min(units, key=lambda k: len(col_rows[k]))
+        inv = pow(prow[c], -1, p) if p else prow[c]  # +-1 is its own inverse
+        for r2 in col_rows[c]:
+            if r2 == r:
+                continue
             row2 = rows[r2]
-            rl = len(row2) - 1
-            for k, v2 in row2.items():
-                if v2 in (1, -1):
-                    heapq.heappush(heap, (rl * (len(col_rows[k]) - 1), r2, k))
+            f = row2.pop(c) * inv
+            for k, v in prow.items():
+                if k == c:
+                    continue
+                new = row2.get(k, 0) - f * v
+                if p:
+                    new %= p
+                if new:
+                    row2[k] = new
+                    col_rows[k].add(r2)
+                elif k in row2:
+                    del row2[k]
+                    col_rows[k].discard(r2)
+        for k in prow:
+            col_rows[k].discard(r)
+        col_rows[c].clear()
+        rows[r] = {}
+        pivots += 1
     return pivots
 
 
@@ -222,9 +205,9 @@ def _dense_snf(mat: list[list[int]]) -> list[int]:
 
 
 def smith_normal_form(M: SparseIntMatrix) -> SmithNormalForm:
-    """Elementary divisors of M (greedy unit pivots, then Euclidean SNF)."""
+    """Elementary divisors of M (unit pivots, then Euclidean SNF)."""
     W = M.copy()
-    units = _unit_phase(W)
+    units = _eliminate(W)
     # densify the (typically tiny) residual
     live_rows = [r for r, row in enumerate(W.rows) if row]
     live_cols = sorted({c for r in live_rows for c in W.rows[r]})
@@ -242,44 +225,11 @@ def smith_normal_form(M: SparseIntMatrix) -> SmithNormalForm:
 
 def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
     """Rank of M over the prime field GF(p) by sparse Gauss elimination."""
-    rows = [
-        {c: v % p for c, v in row.items() if v % p}
-        for row in M.rows
-    ]
-    col_rows: dict[int, set[int]] = {}
-    for r, row in enumerate(rows):
-        for c in row:
-            col_rows.setdefault(c, set()).add(r)
-    rank = 0
-    heap = [(len(row), r) for r, row in enumerate(rows) if row]
-    heapq.heapify(heap)
-    while heap:
-        sz, r = heapq.heappop(heap)
-        row = rows[r]
-        if not row or len(row) != sz:
-            if row:
-                heapq.heappush(heap, (len(row), r))
-            continue
-        c = min(row, key=lambda k: len(col_rows[k]))
-        inv = pow(row[c], p - 2, p)
-        rank += 1
-        for r2 in list(col_rows[c]):
-            if r2 == r:
-                continue
-            row2 = rows[r2]
-            f = (row2[c] * inv) % p
-            for k, v in row.items():
-                new = (row2.get(k, 0) - f * v) % p
-                if new:
-                    row2[k] = new
-                    col_rows.setdefault(k, set()).add(r2)
-                elif k in row2:
-                    del row2[k]
-                    col_rows[k].discard(r2)
-        for k in row:
-            col_rows[k].discard(r)
-        rows[r] = {}
-    return rank
+    W = SparseIntMatrix(M.nrows, M.ncols)
+    for r, row in enumerate(M.rows):
+        for c, v in row.items():
+            W.set(r, c, v % p)
+    return _eliminate(W, p)
 
 
 #: GF(p) coefficients are limited to primes below this bound, so the

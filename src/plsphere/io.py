@@ -4,9 +4,11 @@ Two formats are supported:
 
 * text: one facet per line, whitespace-separated non-negative integers;
   ``#`` starts a comment, blank lines are ignored;
-* JSON: an object ``{"facets": [[...], ...]}``.
+* JSON: an object ``{"facets": [[...], ...]}`` whose vertex labels are
+  JSON integers (not floats, strings or booleans).
 
-Both reject duplicate vertices within a facet.
+Both reject duplicate vertices within a facet; negative labels are
+rejected when the complex is built.
 """
 
 from __future__ import annotations
@@ -39,11 +41,13 @@ def parse_facet_text(text: str) -> list[list[int]]:
 
 def parse_facet_json(text: str) -> list[list[int]]:
     obj = json.loads(text)
-    if not isinstance(obj, dict) or "facets" not in obj:
-        raise EmptyInput('JSON input must be an object with a "facets" key')
+    if not isinstance(obj, dict) or not isinstance(obj.get("facets"), list):
+        raise EmptyInput('JSON input must be an object with a "facets" list')
     facets = []
-    for i, raw in enumerate(obj["facets"]):
-        verts = [int(v) for v in raw]
+    for i, verts in enumerate(obj["facets"]):
+        # bool is a subclass of int, and true would silently become vertex 1
+        if not isinstance(verts, list) or any(type(v) is not int for v in verts):
+            raise EmptyInput(f"facet #{i}: not a list of integer vertex labels: {verts!r}")
         if len(set(verts)) != len(verts):
             raise DuplicateVertexInFacet(i, verts)
         facets.append(verts)

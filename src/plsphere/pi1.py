@@ -159,16 +159,6 @@ def _substitute(word: Word, g: int, repl: Word) -> Word:
     return free_reduce(out)
 
 
-def _renumber(relators, dropped: int, n_gens: int):
-    """Delete generator ``dropped`` (1-based) and close the index gap."""
-    def fix(x: int) -> int:
-        a = abs(x)
-        a2 = a - 1 if a > dropped else a
-        return a2 if x > 0 else -a2
-
-    return tuple(tuple(fix(x) for x in w) for w in relators), n_gens - 1
-
-
 def _cyclic_rotations(word: Word):
     for i in range(len(word)):
         yield word[i:] + word[:i]
@@ -205,8 +195,8 @@ def tietze_simplify(
     length-reducing subword replacement, to a fixpoint or until the budget
     is spent.  The resulting presentation is of an isomorphic group.
     """
-    gens = P.generators
     relators = [free_reduce(w) for w in P.relators]
+    dropped: set[int] = set()  # generators keep their labels until the end
     trace = TietzeTrace()
 
     def spend(n: int = 1) -> bool:
@@ -244,12 +234,14 @@ def tietze_simplify(
             # rotate so the single occurrence leads, then solve for g
             rot = w[i:] + w[:i]
             repl = _invert(rot[1:]) if rot[0] > 0 else rot[1:]
-            rest = relators[:ri] + relators[ri + 1:]
-            rest = [_substitute(u, g, repl) for u in rest]
+            rest = [
+                _substitute(u, g, repl) if g in u or -g in u else u
+                for u in relators[:ri] + relators[ri + 1:]
+            ]
             if not spend(sum(len(u) for u in rest)):
                 break
-            relators, gens = _renumber(rest, g, gens)
-            relators = [free_reduce(w2) for w2 in relators]
+            relators = rest
+            dropped.add(g)
             trace.generators_eliminated += 1
             eliminated = True
             changed = True
@@ -279,8 +271,11 @@ def tietze_simplify(
             if changed or trace.budget_exhausted:
                 break
 
-    relators = tuple(w for w in relators if w)
-    return GroupPresentation(gens, relators), trace
+    # number the surviving generators 1, 2, ... in their original order
+    labels = [g for g in range(1, P.generators + 1) if g not in dropped]
+    new = {g: i for i, g in enumerate(labels, 1)}
+    relators = tuple(tuple(new[x] if x > 0 else -new[-x] for x in w) for w in relators if w)
+    return GroupPresentation(len(labels), relators), trace
 
 
 class Verdict(Enum):

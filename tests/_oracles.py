@@ -114,6 +114,26 @@ def rank_over_q(mat):
     return rank
 
 
+def rank_mod_p_naive(mat, p):
+    """Rank over the prime field GF(p) by plain Gaussian elimination on a
+    dense copy; inverses by Fermat's little theorem."""
+    rows = [[x % p for x in row] for row in mat]
+    n = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(n):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] * inv % p
+                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
 def betti_over_q(facets):
     """Rational Betti numbers straight from boundary-matrix ranks."""
     fv = f_vector_naive(facets)

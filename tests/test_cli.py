@@ -158,6 +158,31 @@ def test_data_error_exit_65(tmp_path, capsys):
     assert code == 65
 
 
+@pytest.mark.parametrize(
+    "arg",
+    [
+        '{"facets": 5}',
+        '{"facets": [1, 2]}',
+        "[[0, null]]",
+        '{"facets": [[0, null]]}',
+        '{"facets": [[0, 1.7, 2]]}',
+        '{"facets": [[0, true, 2]]}',
+        "bd_simplex",
+        "simplex:1:2",
+        "perturbed_sphere:3",
+    ],
+)
+def test_malformed_input_exit_65(tmp_path, capsys, arg):
+    if arg[0] in "{[":
+        path = tmp_path / "bad.json"
+        path.write_text(arg)
+        arg = str(path)
+    code, out, err = run(capsys, "check", arg)
+    assert code == 65
+    assert err.startswith("plsphere: ")
+    assert "Traceback" not in err
+
+
 def test_homology_rejects_non_prime_coefficients(capsys):
     for coefficients in ("0", "1", "4", "z", str(2**61 - 1)):
         code, out, err = run(capsys, "homology", "rp2_6", "--coefficients", coefficients)

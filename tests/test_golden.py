@@ -1,8 +1,9 @@
 """Known-answer files: seeded outputs pinned across commits.
 
 Each file under ``golden/`` is the exact text of one seeded computation:
-Morse spectra, perturbed spheres with their flip trajectories, and
-``recognize --format json`` reports, one per answer kind.  A change that
+Morse spectra, perturbed spheres with their flip trajectories,
+``recognize --format json`` reports, one per answer kind, and
+``homology``/``pi1 --format json`` reports.  A change that
 alters any of them changes a seeded output; regenerate the files only for
 such a change made on purpose, and say so in CHANGES.md:
 
@@ -42,11 +43,15 @@ def _trajectory(seed: int) -> str:
     return trajectory_tsv(res.trajectory)
 
 
-def _recognize(*argv: str) -> str:
+def _json(*argv: str) -> str:
     out = textio.StringIO()
     with contextlib.redirect_stdout(out):
-        main(["--format", "json", "recognize", *argv])
+        main(["--format", "json", *argv])
     return out.getvalue()
+
+
+def _recognize(*argv: str) -> str:
+    return _json("recognize", *argv)
 
 
 def _recognize_suspended_rp2() -> str:
@@ -71,6 +76,23 @@ CASES = {
     "recognize_no_susp_rp2_6.json": _recognize_suspended_rp2,
     "recognize_undecided_sd1_bd4.json": lambda: _recognize(
         "sd:1:bd_simplex:4", "--morse-rounds", "0", "--pi1-budget", "1", "--flip-rounds", "0"
+    ),
+    **{
+        f"homology_{spec.replace(':', '_')}_{coeff}.json": (
+            lambda spec=spec, coeff=coeff: _json("homology", spec, "--coefficients", coeff)
+        )
+        for spec, coeffs in [
+            ("rp2_6", ("Z", "2", "3")),
+            ("saw_blade:3", ("Z", "2")),
+            ("sd:1:bd_simplex:4", ("Z", "2")),
+        ]
+        for coeff in coeffs
+    },
+    "pi1_rp2_6_seed0.json": lambda: _json("pi1", "rp2_6", "--seed", "0"),
+    "pi1_sd1_bd4_seed1.json": lambda: _json("pi1", "sd:1:bd_simplex:4", "--seed", "1"),
+    # the budget runs out, so this pins the Tietze operation count
+    "pi1_sd1_bd5_seed0_budget100000.json": lambda: _json(
+        "pi1", "sd:1:bd_simplex:5", "--seed", "0", "--budget", "100000"
     ),
 }
 

@@ -2,7 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import betti_over_q, dense_boundary, minors_gcd_divisors, rank_over_q
+from _oracles import (
+    betti_over_q,
+    dense_boundary,
+    minors_gcd_divisors,
+    rank_mod_p_naive,
+    rank_over_q,
+)
 from plsphere import generators
 from plsphere.errors import DimensionOutOfRange
 from plsphere.homology import (
@@ -108,6 +114,21 @@ def test_rank_mod_p_matches_rational_rank_when_no_torsion():
         assert rank_mod_p(M, 5) == rank_over_q(_to_dense(M))
 
 
+@given(
+    st.integers(1, 8).flatmap(
+        lambda n: st.lists(
+            st.lists(st.one_of(st.just(0), st.integers(-9, 9)), min_size=n, max_size=n),
+            min_size=1,
+            max_size=8,
+        )
+    ),
+    st.sampled_from((2, 3, 5, 7)),
+)
+@settings(max_examples=300, deadline=None)
+def test_rank_mod_p_against_dense_oracle(dense, p):
+    assert rank_mod_p(_to_sparse(dense), p) == rank_mod_p_naive(dense, p)
+
+
 def test_sphere_homology():
     for d in (3, 4, 5):
         K = generators.boundary_of_simplex(d)
@@ -160,3 +181,18 @@ def test_torsion_prime_power_decomposition():
     assert _prime_powers(2) == [2]
     assert _prime_powers(360) == [8, 9, 5]
 
+
+def test_universal_coefficients(corpus):
+    """GF(p) Betti numbers are the Z Betti numbers plus the p-power torsion
+    summands of H_k and H_{k-1}, so the Z and GF(p) eliminations check
+    each other."""
+    susp = generators.suspension(generators.rp2_6())
+    complexes = {**corpus, "susp_rp2_6": susp, "susp2_rp2_6": generators.suspension(susp)}
+    for name, K in complexes.items():
+        z = homology(K)
+        for p in (2, 3, 5):
+            p_torsion = [sum(1 for t in ts if t % p == 0) for ts in z.torsion]
+            expected = tuple(
+                b + p_torsion[k] + (p_torsion[k - 1] if k else 0) for k, b in enumerate(z.betti)
+            )
+            assert homology(K, p).betti == expected, (name, p)
