@@ -78,7 +78,7 @@ def _emit(report: dict, fmt: str, text: str) -> None:
 
 def _cmd_generate(args) -> int:
     name = args.name
-    if name not in generators.GENERATORS and not name.startswith("sd:"):
+    if name.split(":", 1)[0] not in ("sd", *generators.GENERATORS):
         raise PLSphereError(f"unknown generator {name!r}")
     spec = name if not args.params else name + ":" + ":".join(args.params)
     K = resolve_complex(spec)

@@ -8,7 +8,6 @@ boundary-matrix orientations and the lex collapse strategies.
 
 from __future__ import annotations
 
-from array import array
 from itertools import combinations, permutations
 
 from .errors import (
@@ -86,8 +85,7 @@ class SimplicialComplex:
             for k in range(self.dim, 0, -1):
                 lower = seen[k - 1]
                 for f in seen[k]:
-                    for g in combinations(f, k):
-                        lower.add(g)
+                    lower.update(combinations(f, k))
             self._faces_by_dim = [sorted(s) for s in seen]
         return self._faces_by_dim
 
@@ -221,24 +219,18 @@ class SimplicialComplex:
 
 
 class HasseDiagram:
-    """Level-structured face poset of a complex, with up/down arcs in CSR form.
+    """Level-structured face poset of a complex, with up/down arcs as tuples.
 
     Nodes are numbered in (dimension, lex) order; ``level_start[k]`` is the
-    first node of dimension k.  The empty face is not materialized.  The
-    diagram itself is immutable after :func:`build_hasse`; destructive
+    first node of dimension k.  ``down[node]`` is a tuple of the node ids of
+    the k-face's facets in ``combinations(face, k)`` order, so its entry j
+    omits vertex k - j; ``up[node]`` is a tuple of the node ids of the faces
+    one dimension up that contain it.  The empty face is not materialized.
+    The diagram itself is immutable after :func:`build_hasse`; destructive
     algorithms keep private alive-flag / coface-count arrays per run.
     """
 
-    __slots__ = (
-        "dim",
-        "faces",
-        "level_start",
-        "up_off",
-        "up_idx",
-        "down_off",
-        "down_idx",
-        "locator",
-    )
+    __slots__ = ("dim", "faces", "level_start", "up", "down", "locator")
 
     def level_range(self, k: int) -> range:
         return range(self.level_start[k], self.level_start[k + 1])
@@ -251,18 +243,21 @@ class HasseDiagram:
         return self.locator.get(tuple(sorted(face)))
 
     def up_neighbors(self, node: int):
-        return self.up_idx[self.up_off[node]:self.up_off[node + 1]]
+        return self.up[node]
 
     def down_neighbors(self, node: int):
-        return self.down_idx[self.down_off[node]:self.down_off[node + 1]]
+        return self.down[node]
 
     def up_degrees(self) -> list[int]:
-        off = self.up_off
-        return [off[i + 1] - off[i] for i in range(len(self.faces))]
+        return list(map(len, self.up))
 
 
 def build_hasse(K: SimplicialComplex, capacity: int = DEFAULT_CAPACITY) -> HasseDiagram:
     """Construct the full Hasse diagram of K by level-wise generation."""
+    # a top-dimensional face alone has 2^(dim+1) - 1 faces: refuse before
+    # enumerating anything when even that bound is over the capacity
+    if 2 ** (K.dim + 1) - 1 > capacity:
+        raise CapacityExceeded(2 ** (K.dim + 1) - 1, capacity)
     levels = K.faces_by_dim()
     total = sum(len(level) for level in levels)
     if total > capacity:
@@ -282,26 +277,17 @@ def build_hasse(K: SimplicialComplex, capacity: int = DEFAULT_CAPACITY) -> Hasse
     H.level_start = level_start
     H.locator = locator
 
-    down_off = array("l", [0])
-    down_idx = array("l")
-    up_lists: list[list[int]] = [[] for _ in range(total)]
-    for node, f in enumerate(faces):
-        k = len(f) - 1
-        if k == 0:
-            down_off.append(len(down_idx))
-            continue
-        for g in combinations(f, k):
-            sub = locator[g]
-            down_idx.append(sub)
-            up_lists[sub].append(node)
-        down_off.append(len(down_idx))
-    up_off = array("l", [0])
-    up_idx = array("l")
-    for lst in up_lists:
-        up_idx.extend(lst)
-        up_off.append(len(up_idx))
-    H.down_off = down_off
-    H.down_idx = down_idx
-    H.up_off = up_off
-    H.up_idx = up_idx
+    # node ids are the locator's own int objects, shared by every tuple
+    down: list[tuple] = []
+    up: list = [[] for _ in range(total)]
+    node_of = locator.__getitem__
+    for f, node in locator.items():
+        subs = tuple(map(node_of, combinations(f, len(f) - 1))) if len(f) > 1 else ()
+        down.append(subs)
+        for sub in subs:
+            up[sub].append(node)
+    for i, lst in enumerate(up):
+        up[i] = tuple(lst)
+    H.down = down
+    H.up = up
     return H

@@ -62,150 +62,19 @@ def random_discrete_morse(
     """
     H = hasse if hasse is not None else build_hasse(K, capacity)
     rng = Rng(seed)
-    n = H.n_nodes()
     faces = H.faces
-    level_start = H.level_start
-    up_off, up_idx = H.up_off, H.up_idx
-    down_off, down_idx = H.down_off, H.down_idx
-
-    alive = bytearray(b"\x01") * n
+    alive = bytearray(b"\x01") * H.n_nodes()
     up_count = H.up_degrees()
     matching_nodes: list[tuple[int, int]] = []
     critical_nodes: list[int] = []
-
-    lex = strategy is not Strategy.RANDOM_RANDOM
-    lex_last = strategy is Strategy.RANDOM_LEX_LAST
-    rank = None
-    level_orders = None
-    if lex:
-        # one uniform relabeling per run; all picks are then lexicographic
-        verts = [f[0] for f in faces[level_start[0]:level_start[1]]]
-        perm = rng.permutation(len(verts))
-        relabel = {v: perm[i] for i, v in enumerate(verts)}
-        rank = [0] * n
-        level_orders = []
-        for k in range(H.dim + 1):
-            nodes = list(range(level_start[k], level_start[k + 1]))
-            nodes.sort(key=lambda nd: tuple(sorted(relabel[v] for v in faces[nd])))
-            for r, nd in enumerate(nodes):
-                rank[nd] = r
-            level_orders.append(nodes)
-
-    for d in range(H.dim, 0, -1):
-        lo_start, lo_end = level_start[d - 1], level_start[d]
-        hi_start, hi_end = level_start[d], level_start[d + 1]
-
-        if lex:
-            top_order = level_orders[d]
-            top_ptr = len(top_order) - 1 if lex_last else 0
-            free_heap: list = []
-            if lex_last:
-                for nd in range(lo_start, lo_end):
-                    if alive[nd] and up_count[nd] == 1:
-                        heapq.heappush(free_heap, (-rank[nd], nd))
-            else:
-                for nd in range(lo_start, lo_end):
-                    if alive[nd] and up_count[nd] == 1:
-                        heapq.heappush(free_heap, (rank[nd], nd))
-        else:
-            top = [nd for nd in range(hi_start, hi_end) if alive[nd]]
-            top_pos = [-1] * (hi_end - hi_start)
-            for i, nd in enumerate(top):
-                top_pos[nd - hi_start] = i
-            free = [nd for nd in range(lo_start, lo_end) if alive[nd] and up_count[nd] == 1]
-            free_pos = [-1] * (lo_end - lo_start)
-            for i, nd in enumerate(free):
-                free_pos[nd - lo_start] = i
-
-        while True:
-            sigma = -1
-            if lex:
-                while free_heap:
-                    _, cand = free_heap[0]
-                    if alive[cand] and up_count[cand] == 1:
-                        sigma = cand
-                        heapq.heappop(free_heap)
-                        break
-                    heapq.heappop(free_heap)
-            else:
-                if free:
-                    sigma = free[rng.randbelow(len(free))]
-
-            if sigma >= 0:
-                # elementary collapse of (sigma, tau)
-                tau = -1
-                for u in up_idx[up_off[sigma]:up_off[sigma + 1]]:
-                    if alive[u]:
-                        tau = u
-                        break
-                alive[sigma] = 0
-                if not lex:
-                    i = free_pos[sigma - lo_start]
-                    last = free[-1]
-                    free[i] = last
-                    free_pos[last - lo_start] = i
-                    free.pop()
-                    free_pos[sigma - lo_start] = -1
-                for y in down_idx[down_off[sigma]:down_off[sigma + 1]]:
-                    if alive[y]:
-                        up_count[y] -= 1
-                matching_nodes.append((sigma, tau))
-            else:
-                # no free face: declare a critical face of the top dimension
-                tau = -1
-                if lex:
-                    if lex_last:
-                        while top_ptr >= 0 and not alive[top_order[top_ptr]]:
-                            top_ptr -= 1
-                        if top_ptr >= 0:
-                            tau = top_order[top_ptr]
-                            top_ptr -= 1
-                    else:
-                        while top_ptr < len(top_order) and not alive[top_order[top_ptr]]:
-                            top_ptr += 1
-                        if top_ptr < len(top_order):
-                            tau = top_order[top_ptr]
-                            top_ptr += 1
-                else:
-                    if top:
-                        tau = top[rng.randbelow(len(top))]
-                if tau < 0:
-                    break  # level exhausted; the working dimension drops
-                critical_nodes.append(tau)
-
-            alive[tau] = 0
-            if not lex:
-                i = top_pos[tau - hi_start]
-                last = top[-1]
-                top[i] = last
-                top_pos[last - hi_start] = i
-                top.pop()
-                top_pos[tau - hi_start] = -1
-            if lex:
-                for y in down_idx[down_off[tau]:down_off[tau + 1]]:
-                    if alive[y]:
-                        c = up_count[y] = up_count[y] - 1
-                        if c == 1:
-                            heapq.heappush(free_heap, (-rank[y] if lex_last else rank[y], y))
-            else:
-                for y in down_idx[down_off[tau]:down_off[tau + 1]]:
-                    if alive[y]:
-                        c = up_count[y] = up_count[y] - 1
-                        if c == 1:
-                            free_pos[y - lo_start] = len(free)
-                            free.append(y)
-                        elif c == 0:
-                            i = free_pos[y - lo_start]
-                            if i >= 0:
-                                last = free[-1]
-                                free[i] = last
-                                free_pos[last - lo_start] = i
-                                free.pop()
-                                free_pos[y - lo_start] = -1
-
-    for nd in range(level_start[0], level_start[1]):
-        if alive[nd]:
-            critical_nodes.append(nd)
+    if strategy is Strategy.RANDOM_RANDOM:
+        _collapse_random(H, rng, alive, up_count, matching_nodes, critical_nodes)
+    else:
+        _collapse_lex(
+            H, rng, strategy is Strategy.RANDOM_LEX_LAST,
+            alive, up_count, matching_nodes, critical_nodes,
+        )
+    critical_nodes.extend(nd for nd in H.level_range(0) if alive[nd])
 
     vector = [0] * (H.dim + 1)
     for nd in critical_nodes:
@@ -217,6 +86,140 @@ def random_discrete_morse(
         seed=seed,
         strategy=strategy,
     )
+
+
+def _collapse_random(H, rng, alive, up_count, matching, critical) -> None:
+    """Levels dim..1: collapse a uniform free face, else remove a uniform
+    top face as critical.  ``top`` and ``free`` are swap-remove lists; they
+    hold faces of different dimensions, so one position list serves both."""
+    up, down = H.up, H.down
+    randbelow = rng.randbelow
+    pos = [0] * H.n_nodes()
+    for d in range(H.dim, 0, -1):
+        top = [nd for nd in H.level_range(d) if alive[nd]]
+        free = [nd for nd in H.level_range(d - 1) if alive[nd] and up_count[nd] == 1]
+        for lst in (top, free):
+            for i, nd in enumerate(lst):
+                pos[nd] = i
+        while True:
+            if free:
+                # elementary collapse of (sigma, tau), tau the one live coface
+                sigma = free[randbelow(len(free))]
+                for tau in up[sigma]:
+                    if alive[tau]:
+                        break
+                alive[sigma] = 0
+                last = free.pop()
+                if last != sigma:
+                    free[pos[sigma]] = last
+                    pos[last] = pos[sigma]
+                for y in down[sigma]:  # dimension d - 2: all still alive
+                    up_count[y] -= 1
+                matching.append((sigma, tau))
+            elif top:
+                # no free face: declare a critical face of the top dimension
+                tau = top[randbelow(len(top))]
+                critical.append(tau)
+            else:
+                break  # level exhausted; the working dimension drops
+            alive[tau] = 0
+            last = top.pop()
+            if last != tau:
+                top[pos[tau]] = last
+                pos[last] = pos[tau]
+            for y in down[tau]:
+                if alive[y]:
+                    c = up_count[y] = up_count[y] - 1
+                    if c == 1:
+                        pos[y] = len(free)
+                        free.append(y)
+                    elif c == 0:
+                        # y was free: a live face with one coface always is
+                        last = free.pop()
+                        if last != y:
+                            free[pos[y]] = last
+                            pos[last] = pos[y]
+
+
+def _lex_orders(H, rng) -> tuple[list[int], list[list[int]]]:
+    """One uniform vertex relabeling: each node's rank within its level in
+    the lex order of the relabeled faces, and each level's nodes in that
+    order.
+
+    A vertex's rank is its new label.  A k-face ranks by the integer
+    ``m * f_{k-1} + rank(g)``, with m its least new label and g the face
+    without that vertex: sorted relabeled tuples compare first by m, then
+    by the rest, which is g.  The faces without the last and without the
+    first vertex (``down`` entries 0 and k) between them hold every vertex,
+    so m and its position follow from theirs.
+    """
+    down, level_start = H.down, H.level_start
+    n = H.n_nodes()
+    rank = rng.permutation(level_start[1])
+    least = rank + [0] * (n - len(rank))  # least new label of each face
+    at = [0] * n  # position of that vertex in the face
+    rank.extend([0] * (n - len(rank)))
+    orders = [sorted(H.level_range(0), key=rank.__getitem__)]
+    for k in range(1, H.dim + 1):
+        below = level_start[k] - level_start[k - 1]
+        level = H.level_range(k)
+        for nd in level:
+            sub = down[nd]
+            head, tail = sub[0], sub[k]
+            if least[head] <= least[tail]:
+                m = least[nd] = least[head]
+                i = at[nd] = at[head]
+            else:
+                m = least[nd] = least[tail]
+                i = at[nd] = k
+            rank[nd] = m * below + rank[sub[k - i]]
+        order = sorted(level, key=rank.__getitem__)
+        for r, nd in enumerate(order):
+            rank[nd] = r
+        orders.append(order)
+    return rank, orders
+
+
+def _collapse_lex(H, rng, lex_last, alive, up_count, matching, critical) -> None:
+    """Levels dim..1: collapse the lex-least (lex-last: greatest) free face
+    under one random relabeling, else remove the lex-least (greatest) live
+    top face as critical.  The heap holds ranks, negated for lex-last."""
+    up, down = H.up, H.down
+    rank, orders = _lex_orders(H, rng)
+    sign = -1 if lex_last else 1
+    for d in range(H.dim, 0, -1):
+        low_order = orders[d - 1]
+        tops = iter(reversed(orders[d]) if lex_last else orders[d])
+        heap = [sign * rank[nd] for nd in H.level_range(d - 1) if alive[nd] and up_count[nd] == 1]
+        heapq.heapify(heap)  # ranks are distinct, so pops follow the set
+        while True:
+            sigma = -1
+            while heap:
+                nd = low_order[sign * heapq.heappop(heap)]
+                if alive[nd] and up_count[nd] == 1:
+                    sigma = nd
+                    break
+            if sigma >= 0:
+                for tau in up[sigma]:
+                    if alive[tau]:
+                        break
+                alive[sigma] = 0
+                for y in down[sigma]:  # dimension d - 2: all still alive
+                    up_count[y] -= 1
+                matching.append((sigma, tau))
+            else:
+                for tau in tops:
+                    if alive[tau]:
+                        break
+                else:
+                    break  # level exhausted; the working dimension drops
+                critical.append(tau)
+            alive[tau] = 0
+            for y in down[tau]:
+                if alive[y]:
+                    c = up_count[y] = up_count[y] - 1
+                    if c == 1:
+                        heapq.heappush(heap, sign * rank[y])
 
 
 def verify_acyclic_matching(H: HasseDiagram, result: MorseResult) -> bool:

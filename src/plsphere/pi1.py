@@ -135,6 +135,7 @@ def pi1_presentation(K: SimplicialComplex, base_tree_seed: int = 0) -> GroupPres
 class TietzeTrace:
     """Counts of each elementary simplification applied."""
 
+    #: inverse pairs x x^-1 cancelled by free reduction in the relators kept
     free_reductions: int = 0
     empty_deletions: int = 0
     generators_eliminated: int = 0
@@ -146,8 +147,9 @@ class TietzeTrace:
         return dict(self.__dict__)
 
 
-def _substitute(word: Word, g: int, repl: Word) -> Word:
-    """Replace every occurrence of generator g by the word ``repl``."""
+def _substitute(word: Word, g: int, repl: Word) -> list[int]:
+    """Replace every occurrence of generator g by the word ``repl``; the
+    result is not freely reduced."""
     out: list[int] = []
     for x in word:
         if x == g:
@@ -156,7 +158,7 @@ def _substitute(word: Word, g: int, repl: Word) -> Word:
             out.extend(_invert(repl))
         else:
             out.append(x)
-    return free_reduce(out)
+    return out
 
 
 def _cyclic_rotations(word: Word):
@@ -164,12 +166,13 @@ def _cyclic_rotations(word: Word):
         yield word[i:] + word[:i]
 
 
-def _try_subword(long: Word, short: Word) -> Word | None:
+def _try_subword(long: Word, short: Word) -> tuple[Word, int] | None:
     """Shorten ``long`` using the relation short = 1, if strictly shorter.
 
     Looks for a cyclic rotation u of ``short`` (or its inverse) such that
     more than half of u appears in ``long``; the matched prefix is then
-    replaced by the inverse of the remainder.
+    replaced by the inverse of the remainder.  Returns the shortened word
+    and the number of inverse pairs its free reduction cancelled.
     """
     n = len(long)
     for cand in (short, _invert(short)):
@@ -179,9 +182,10 @@ def _try_subword(long: Word, short: Word) -> Word | None:
             for i in range(n - half + 1):
                 if long[i:i + half] == probe:
                     repl = _invert(rot[half:])
-                    out = free_reduce(long[:i] + repl + long[i + half:])
+                    joined = long[:i] + repl + long[i + half:]
+                    out = free_reduce(joined)
                     if len(out) < n:
-                        return out
+                        return out, (len(joined) - len(out)) // 2
     return None
 
 
@@ -234,13 +238,18 @@ def tietze_simplify(
             # rotate so the single occurrence leads, then solve for g
             rot = w[i:] + w[:i]
             repl = _invert(rot[1:]) if rot[0] > 0 else rot[1:]
-            rest = [
-                _substitute(u, g, repl) if g in u or -g in u else u
-                for u in relators[:ri] + relators[ri + 1:]
-            ]
+            rest = []
+            cancelled = 0
+            for u in relators[:ri] + relators[ri + 1:]:
+                if g in u or -g in u:
+                    raw = _substitute(u, g, repl)
+                    u = free_reduce(raw)
+                    cancelled += (len(raw) - len(u)) // 2
+                rest.append(u)
             if not spend(sum(len(u) for u in rest)):
                 break
             relators = rest
+            trace.free_reductions += cancelled
             dropped.add(g)
             trace.generators_eliminated += 1
             eliminated = True
@@ -263,9 +272,10 @@ def tietze_simplify(
                     continue
                 if not spend(len(long) * len(short)):
                     break
-                out = _try_subword(long, short)
-                if out is not None and len(out) < len(long):
-                    relators[li] = out
+                found = _try_subword(long, short)
+                if found is not None:
+                    relators[li], cancelled = found
+                    trace.free_reductions += cancelled
                     trace.subword_replacements += 1
                     changed = True
             if changed or trace.budget_exhausted:

@@ -1,4 +1,5 @@
 import json
+import shlex
 from pathlib import Path
 
 import jsonschema
@@ -7,9 +8,8 @@ import pytest
 from plsphere import generators, io
 from plsphere.cli import main
 
-SCHEMA = json.loads(
-    (Path(__file__).parent.parent / "docs" / "report-schema.json").read_text()
-)
+ROOT = Path(__file__).parent.parent
+SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
 
 
 def run(capsys, *argv):
@@ -37,6 +37,17 @@ def test_generate_round_trip(tmp_path, capsys):
         code, out, err = run(capsys, "generate", name, *params, "-o", str(path))
         assert code == 0
         assert io.read_complex(str(path)) == builder()
+
+
+def test_generate_accepts_parametrized_specifier(capsys):
+    code, joined, _ = run(capsys, "generate", "saw_blade:2")
+    assert code == 0
+    code, split, _ = run(capsys, "generate", "saw_blade", "2")
+    assert code == 0
+    assert joined == split == io.facet_text(generators.saw_blade(2))
+    code, _, err = run(capsys, "generate", "nonsense:2")
+    assert code == 65
+    assert "unknown generator" in err
 
 
 def test_generate_json_file(tmp_path, capsys):
@@ -145,6 +156,14 @@ def test_usage_error_exit_64(capsys):
     assert exc.value.code == 64
 
 
+def test_capacity_exit_70_before_enumerating(capsys):
+    # 2^41 faces: the capacity check must come before face enumeration
+    code, out, err = run(capsys, "morse", "simplex:40")
+    assert code == 70
+    assert out == ""
+    assert err.startswith("plsphere: capacity exceeded")
+
+
 def test_io_error_exit_74(capsys):
     code, out, err = run(capsys, "homology", "/nonexistent/file.fct")
     assert code == 74
@@ -200,3 +219,23 @@ def test_negative_subdivision_count_exit_65(capsys):
 def test_seed_echoed(capsys):
     code, out, _ = run(capsys, "morse", "simplex:3", "--seed", "9")
     assert "seed: 9" in out
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argument lists of the ``plsphere`` lines in README's CLI block."""
+    section = (ROOT / "README.md").read_text().split("\n## CLI\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line.split("#", 1)[0])[1:]
+        for line in block.splitlines()
+        if line.startswith("plsphere ")
+    ]
+
+
+def test_readme_commands(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()

@@ -142,6 +142,12 @@ def test_hasse_up_down_consistency():
 def test_hasse_capacity():
     with pytest.raises(CapacityExceeded):
         build_hasse(generators.boundary_of_simplex(4), capacity=5)
+    # one 40-simplex has 2^41 - 1 faces: refused before any is enumerated
+    K = generators.simplex(40)
+    with pytest.raises(CapacityExceeded) as exc:
+        build_hasse(K)
+    assert exc.value.needed == 2**41 - 1
+    assert K._faces_by_dim is None
 
 
 @st.composite

@@ -1,9 +1,9 @@
 """Known-answer files: seeded outputs pinned across commits.
 
 Each file under ``golden/`` is the exact text of one seeded computation:
-Morse spectra, perturbed spheres with their flip trajectories,
-``recognize --format json`` reports, one per answer kind, and
-``homology``/``pi1 --format json`` reports.  A change that
+Morse spectra, ``morse --certificate`` matchings, perturbed spheres with
+their flip trajectories, ``recognize --format json`` reports, one per
+answer kind, and ``homology``/``pi1 --format json`` reports.  A change that
 alters any of them changes a seeded output; regenerate the files only for
 such a change made on purpose, and say so in CHANGES.md:
 
@@ -67,6 +67,18 @@ CASES = {
     "spectrum_sd1_bd4_random-lex-last_20.tsv": lambda: _spectrum(
         "sd:1:bd_simplex:4", "random-lex-last", 20, 0
     ),
+    "spectrum_simplex_8_random-lex-first_30.tsv": lambda: _spectrum(
+        "simplex:8", "random-lex-first", 30, 0
+    ),
+    # the certificate pins the order in which faces are matched
+    **{
+        f"morse_sd1_bd4_{st.value}_seed3.json": (
+            lambda st=st: _json(
+                "morse", "sd:1:bd_simplex:4", "--certificate", "--seed", "3", "--strategy", st.value
+            )
+        )
+        for st in Strategy
+    },
     **{
         f"perturbed_sphere_3_20_200_0_{s}.txt": (lambda s=s: io.facet_text(_perturbed(s)))
         for s in range(3)

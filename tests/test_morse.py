@@ -79,6 +79,18 @@ def test_matching_verifies_and_tampering_detected():
         verify_acyclic_matching(H, bogus)
 
 
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_matching_is_acyclic_and_partitions_the_faces(small_corpus, strategy):
+    for name, K in small_corpus.items():
+        H = build_hasse(K)
+        faces = [f for level in K.faces_by_dim() for f in level]
+        for seed in range(5):
+            res = random_discrete_morse(K, strategy, seed=seed, hasse=H)
+            assert verify_acyclic_matching(H, res), (name, seed)
+            covered = [f for pair in res.matching for f in pair] + res.critical
+            assert sorted(covered) == sorted(faces), (name, seed)
+
+
 def test_duplicated_pair_rejected():
     K = generators.boundary_of_simplex(3)
     H = build_hasse(K)

@@ -54,6 +54,17 @@ def test_single_generator_trivial():
     assert trace.generators_eliminated == 1
 
 
+def test_trace_counts_free_reductions():
+    # eliminating a = b^-1 turns a b b into b^-1 b b, which reduces to b
+    simplified, trace = tietze_simplify(GroupPresentation(2, ((1, 2), (1, 2, 2))))
+    assert simplified.is_empty()
+    assert (trace.generators_eliminated, trace.free_reductions) == (2, 1)
+    # b a^-1 b^-1 = 1 shortens b a^-1 b^-1 a^-1 a^-1 a^-1 to a a^-1 a^-1 a^-1 = a^-2
+    simplified, trace = tietze_simplify(GroupPresentation(2, ((1, 2, 1, -2), (2, -1, -2, -1, -1, -1))))
+    assert simplified.relators == ((1, 2, 1, -2), (-1, -1))
+    assert (trace.subword_replacements, trace.free_reductions) == (1, 1)
+
+
 def test_empty_presentation_is_trivial():
     assert triviality_verdict(GroupPresentation(0, ())).verdict is Verdict.TRIVIAL
 
