@@ -121,12 +121,6 @@ class SimplicialComplex:
         around = min((self._vertex_star.get(v, ()) for v in fs), key=len)
         return [g for g in around if fs.issubset(g)]
 
-    def has_face(self, face) -> bool:
-        f = tuple(sorted(face))
-        if not f or len(f) - 1 > self.dim:
-            return False
-        return bool(self.star(f))
-
     def __eq__(self, other):
         return isinstance(other, SimplicialComplex) and self.facets == other.facets
 
@@ -241,9 +235,6 @@ class HasseDiagram:
     def locate(self, face):
         """Node id of ``face``, or None if it is not a face of the complex."""
         return self.locator.get(tuple(sorted(face)))
-
-    def up_neighbors(self, node: int):
-        return self.up[node]
 
     def down_neighbors(self, node: int):
         return self.down[node]

@@ -1,14 +1,18 @@
 """Bistellar flips and simulated-annealing simplification.
 
 The flip kernel works on a facet set plus a face -> containing-facets index
-instead of a full face lattice, so moves are cheap to apply and the set of
-available options is maintained incrementally.  ``bistellar_simplify``
-anneals toward the lexicographically smallest f-vector, alternating cooling
-(f-reducing flips) with bounded heating bursts when progress stalls.
+instead of a full face lattice.  A flip updates that index once, for the
+faces of the facets it removes and adds, and keeps the flippable faces of
+each dimension in a sorted list.  A move pays for the star it replaces, the
+options it tries and one copy of a candidate list, but sorts nothing.
+``bistellar_simplify`` anneals toward the lexicographically smallest
+f-vector, alternating cooling (f-reducing flips) with bounded heating bursts
+when progress stalls.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -35,8 +39,8 @@ class FlipState:
 
     Maintains the facet set, the star of each face (the set of facets
     containing it, so ``len(star[face])`` is its cofacet count), the
-    f-vector, and per-dimension candidate faces (faces of dimension i in
-    exactly d-i+1 facets).
+    f-vector, and per dimension i the sorted list ``candidates[i]`` of the
+    flippable faces, those in exactly d-i+1 facets.
     """
 
     def __init__(self, K: SimplicialComplex, rng: Rng | int, record_trajectory: bool = False):
@@ -48,49 +52,60 @@ class FlipState:
         self.facets: set[Face] = set()
         self.star: dict[Face, set[Face]] = {}
         self.f = [0] * (self.d + 1)
-        self.candidates: list[set[Face]] = [set() for _ in range(self.d + 1)]
+        self.candidates: list[list[Face]] = [[] for _ in range(self.d + 1)]
         self.max_label = max(K.vertices)
         self.round = 0
         self.trajectory: deque[FlipMove] | None = (
             deque(maxlen=TRAJECTORY_BUFFER) if record_trajectory else None
         )
         self.moves_applied = 0
-        for f in K.facets:
-            self._add_facet(f)
+        self._update((), K.facets)
 
     # -- incremental index maintenance ----------------------------------
 
-    def _recount(self, face: Face, old: int, new: int) -> None:
-        """Move ``face`` in or out of the candidates as its cofacet count
-        changes from ``old`` to ``new``."""
-        k = len(face) - 1
-        target = self.d - k + 1  # cofacet count that makes the face flippable
-        if old == target:
-            self.candidates[k].discard(face)
-        if new == target:
-            self.candidates[k].add(face)
+    def _update(self, removed, added) -> None:
+        """Replace the facets ``removed`` by ``added``.
 
-    def _add_facet(self, f: Face) -> None:
-        self.facets.add(f)
-        for s in range(1, len(f) + 1):
-            for sub in combinations(f, s):
-                cof = self.star.get(sub)
-                if cof is None:
-                    cof = self.star[sub] = set()
-                    self.f[s - 1] += 1
-                cof.add(f)
-                self._recount(sub, len(cof) - 1, len(cof))
-
-    def _remove_facet(self, f: Face) -> None:
-        self.facets.remove(f)
-        for s in range(1, len(f) + 1):
-            for sub in combinations(f, s):
-                cof = self.star[sub]
-                cof.remove(f)
-                if not cof:
-                    del self.star[sub]
-                    self.f[s - 1] -= 1
-                self._recount(sub, len(cof) + 1, len(cof))
+        The star and facet set change first; then every face of a touched
+        facet is recounted once against its cofacet count from before, which
+        updates the f-vector and the candidate lists.
+        """
+        star = self.star
+        before: dict[Face, int] = {}
+        for g in removed:
+            self.facets.remove(g)
+            for s in range(1, len(g) + 1):
+                for sub in combinations(g, s):
+                    cof = star[sub]
+                    if sub not in before:
+                        before[sub] = len(cof)
+                    cof.remove(g)
+        for g in added:
+            self.facets.add(g)
+            for s in range(1, len(g) + 1):
+                for sub in combinations(g, s):
+                    cof = star.get(sub)
+                    if cof is None:
+                        cof = star[sub] = set()
+                    if sub not in before:
+                        before[sub] = len(cof)
+                    cof.add(g)
+        for sub, old in before.items():
+            new = len(star[sub])
+            if new == old:
+                continue
+            k = len(sub) - 1
+            if not new:
+                del star[sub]
+                self.f[k] -= 1
+            elif not old:
+                self.f[k] += 1
+            target = self.d - k + 1  # cofacet count that makes the face flippable
+            if old == target:
+                cands = self.candidates[k]
+                del cands[bisect_left(cands, sub)]
+            elif new == target:
+                insort(self.candidates[k], sub)
 
     # -- option enumeration ----------------------------------------------
 
@@ -100,13 +115,15 @@ class FlipState:
         return tuple(sorted(rest.difference(face)))
 
     def options_at(self, dim: int) -> list[Face]:
-        """Flippable faces of the given dimension, in sorted order."""
-        return sorted(self.candidates[dim])
+        """Flippable faces of the given dimension, in sorted order, as a copy
+        that the caller may shuffle."""
+        return self.candidates[dim][:]
 
     def is_proper(self, face: Face) -> bool:
         """A flip is proper when it does not re-introduce an existing face."""
         i = len(face) - 1
-        if face not in self.candidates[i]:
+        cof = self.star.get(face)
+        if cof is None or len(cof) != self.d - i + 1:
             raise StaleOption(f"{face} is not in exactly {self.d - i + 1} facets")
         if i == self.d:
             return True  # stellar subdivision brings a genuinely new vertex
@@ -142,10 +159,7 @@ class FlipState:
             removed = [tuple(sorted(set(face) | (rs - {r}))) for r in replacement]
         fs = set(face)
         added = [tuple(sorted((fs - {v}) | set(replacement))) for v in face]
-        for g in removed:
-            self._remove_facet(g)
-        for g in added:
-            self._add_facet(g)
+        self._update(removed, added)
         self.round += 1
         self.moves_applied += 1
         move = FlipMove(self.round, face, replacement, tuple(self.f))
@@ -307,12 +321,11 @@ def bistellar_simplify(
     moves = tuple(state.trajectory)
     dropped = state.moves_applied - len(moves)
     kept = moves[: max(0, best_len - dropped)]
+    best = SimplicialComplex(sorted(best_facets))
     return SimplifyResult(
-        complex=SimplicialComplex(sorted(best_facets)),
+        complex=best,
         trajectory=kept,
-        reached_simplex_boundary=reached_simplex_boundary(
-            SimplicialComplex(sorted(best_facets))
-        ),
+        reached_simplex_boundary=reached_simplex_boundary(best),
         rounds=state.round,
         best_f=best_f,
         replayable=dropped == 0,

@@ -82,20 +82,39 @@ def test_improper_and_stale_errors():
         state.apply_flip((0, 1))  # replacement edge (2,3) already present
     with pytest.raises(StaleOption):
         state.is_proper((0, 1, 9))
+    with pytest.raises(StaleOption):
+        state.is_proper((0, 1, 2, 3))  # longer than a facet
+
+
+def _assert_index_matches_scratch(state):
+    star = _fresh_star(state.facets)
+    assert star == state.star
+    d = state.d
+    for k in range(d + 1):
+        faces = [f for f in star if len(f) == k + 1]
+        flippable = sorted(f for f in faces if len(star[f]) == d - k + 1)
+        assert state.candidates[k] == sorted(state.candidates[k])
+        assert state.candidates[k] == flippable
+        assert state.f[k] == len(faces)
 
 
 def test_incremental_index_matches_scratch_after_moves():
-    state = FlipState(generators.boundary_of_simplex(4), Rng(3), record_trajectory=True)
-    for i in range(100):
-        try:
-            state.random_move(move_dim=state.rng.randbelow(3))
-        except ImproperMove:
-            state.random_move(move_dim=0)
-        if i % 10 == 9:
-            assert _fresh_star(state.facets) == state.star
-            fresh = FlipState(state.to_complex(), Rng(0))
-            assert fresh.candidates == state.candidates
-            assert fresh.f == state.f
+    # 0-, 1- and 2-moves, each undone by its inverse (a d-, (d-1)- or
+    # (d-2)-move) a third of the time
+    for d, seed in ((3, 7), (4, 3)):
+        state = FlipState(generators.boundary_of_simplex(d + 1), Rng(seed))
+        _assert_index_matches_scratch(state)
+        for i in range(60):
+            before = set(state.facets)
+            try:
+                move = state.random_move(move_dim=state.rng.randbelow(3))
+            except ImproperMove:
+                move = state.random_move(move_dim=0)
+            _assert_index_matches_scratch(state)
+            if i % 3 == 0:
+                state.apply_flip(move.replacement)
+                assert state.facets == before
+                _assert_index_matches_scratch(state)
 
 
 def test_flips_preserve_invariants():

@@ -34,12 +34,14 @@ def _spectrum(spec: str, strategy: str, rounds: int, seed: int) -> str:
     return spectrum_tsv(res, include_runtime=False)
 
 
-def _perturbed(seed: int):
-    return generators.perturbed_sphere(3, 20, 200, 0, seed)
+def _perturbed(seed: int, d: int = 3):
+    # dimension 4 adds mixed 1-/2-moves, so both move kinds are pinned
+    args = (20, 200, 0) if d == 3 else (10, 60, 40)
+    return generators.perturbed_sphere(d, *args, seed)
 
 
-def _trajectory(seed: int) -> str:
-    res = bistellar_simplify(_perturbed(seed), seed=seed, max_rounds=10**5)
+def _trajectory(seed: int, d: int = 3) -> str:
+    res = bistellar_simplify(_perturbed(seed, d), seed=seed, max_rounds=10**5)
     return trajectory_tsv(res.trajectory)
 
 
@@ -84,6 +86,11 @@ CASES = {
         for s in range(3)
     },
     **{f"trajectory_{s}.tsv": (lambda s=s: _trajectory(s)) for s in range(3)},
+    **{
+        f"perturbed_sphere_4_10_60_40_{s}.txt": (lambda s=s: io.facet_text(_perturbed(s, 4)))
+        for s in range(2)
+    },
+    **{f"trajectory_4_{s}.tsv": (lambda s=s: _trajectory(s, 4)) for s in range(2)},
     "recognize_yes_bd_simplex_4.json": lambda: _recognize("bd_simplex:4"),
     "recognize_no_susp_rp2_6.json": _recognize_suspended_rp2,
     "recognize_undecided_sd1_bd4.json": lambda: _recognize(
