@@ -294,6 +294,9 @@ def main(argv=None) -> int:
     except CapacityExceeded as e:
         print(f"plsphere: capacity exceeded: {e}", file=sys.stderr)
         return EX_CAPACITY
+    except MemoryError:
+        print("plsphere: capacity exceeded: out of memory", file=sys.stderr)
+        return EX_CAPACITY
     except OSError as e:
         print(f"plsphere: {e}", file=sys.stderr)
         return EX_IOERR

@@ -9,6 +9,7 @@ boundary-matrix orientations and the lex collapse strategies.
 from __future__ import annotations
 
 from itertools import combinations, permutations
+from math import factorial
 
 from .errors import (
     CapacityExceeded,
@@ -189,8 +190,12 @@ class SimplicialComplex:
         """Order complex of the face poset.
 
         New vertex labels are the (dimension, lex) ranks of the old faces;
-        facets are the maximal chains.
+        facets are the maximal chains, (d+1)! per d-facet.  Both counts are
+        checked against ``capacity`` before anything is built.
         """
+        chains = sum(factorial(len(f)) for f in self.facets)
+        if chains > capacity:
+            raise CapacityExceeded(chains, capacity)
         levels = self.faces_by_dim()
         rank = {}
         next_id = 0

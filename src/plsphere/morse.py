@@ -5,17 +5,27 @@ over the current free faces), and random-lex-first / random-lex-last (one
 random vertex relabeling per run, then deterministic lexicographic picks).
 Runs never mutate the shared Hasse diagram; each run keeps private alive
 flags and coface counts.
+
+A run depends only on (K, strategy, seed), so ``morse_spectrum`` splits its
+seeds into contiguous blocks, one per CPU.  The parent builds the Hasse
+diagram once and forks a child per block after the first, which inherits K
+and the diagram without pickling.  The parent runs the first block itself;
+each child sends back only its vectors, as text lines over a pipe.  The
+parent reads the blocks in seed order, so the spectrum is the same for any
+number of workers.
 """
 
 from __future__ import annotations
 
 import heapq
+import os
+import sys
 import time
 from dataclasses import dataclass
 from enum import Enum
 
 from .complex_core import DEFAULT_CAPACITY, Face, HasseDiagram, SimplicialComplex, build_hasse
-from .errors import InconsistentMatching
+from .errors import InconsistentMatching, PLSphereError
 from .rng import Rng
 
 
@@ -291,22 +301,115 @@ def morse_spectrum(
     seed: int,
     hasse: HasseDiagram | None = None,
     capacity: int = DEFAULT_CAPACITY,
+    workers: int | None = None,
 ) -> SpectrumResult:
-    """Run seeds seed, seed+1, ... and aggregate identical Morse vectors."""
+    """Run seeds seed, seed+1, ... and aggregate identical Morse vectors.
+
+    The seeds are split into ``w = min(rounds, workers)`` contiguous blocks;
+    block i holds seeds ``seed + rounds*i//w`` to ``seed +
+    rounds*(i+1)//w - 1``.  The parent runs block 0 and forks one child per
+    other block; ``workers`` defaults to the CPUs in the process's affinity
+    mask, and is 1 where ``os.fork`` is missing.  Every vector is checked
+    against the Morse-Euler identity and counted in seed order, so
+    ``counts`` and its order do not depend on ``w``.  ``elapsed`` is wall
+    time.
+    """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if workers is None:
+        workers = _available_cpus()
+    elif workers < 1:
+        raise ValueError("workers must be >= 1")
+    if not hasattr(os, "fork"):
+        workers = 1
     H = hasse if hasse is not None else build_hasse(K, capacity)
     chi = K.euler_characteristic()
-    counts: dict[tuple[int, ...], int] = {}
+    w = min(rounds, workers)
+    cut = [seed + rounds * i // w for i in range(w + 1)]
     t0 = time.perf_counter()
-    for i in range(rounds):
-        res = random_discrete_morse(K, strategy, seed + i, hasse=H)
-        v = res.vector
-        if sum((-1) ** k * c for k, c in enumerate(v)) != chi:
-            raise AssertionError(f"Morse-Euler identity violated: {v} vs chi={chi}")
-        counts[v] = counts.get(v, 0) + 1
+    children: list[tuple[int, int]] = []  # (pid, read end), blocks 1..w-1
+    try:
+        for i in range(1, w):
+            children.append(_fork_block(K, strategy, H, cut[i], cut[i + 1]))
+        blocks = [_run_block(K, strategy, H, cut[0], cut[1])]
+        for _, fd in children:
+            blocks.append(_read_block(fd))
+    except BaseException:
+        # stop the children before reaping them; nothing reads their pipes
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        statuses = []
+        for pid, fd in children:
+            os.close(fd)
+            statuses.append(os.waitpid(pid, 0)[1])
+    for i, status in enumerate(statuses, 1):
+        if status:
+            raise PLSphereError(
+                f"the worker for seeds {cut[i]}..{cut[i + 1] - 1} failed "
+                f"(exit status {os.waitstatus_to_exitcode(status)})"
+            )
+    counts: dict[tuple[int, ...], int] = {}
+    for block in blocks:
+        for v in block:
+            if sum((-1) ** k * c for k, c in enumerate(v)) != chi:
+                raise AssertionError(f"Morse-Euler identity violated: {v} vs chi={chi}")
+            counts[v] = counts.get(v, 0) + 1
     elapsed = time.perf_counter() - t0
     return SpectrumResult(counts=counts, strategy=strategy, seed=seed, rounds=rounds, elapsed=elapsed)
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _run_block(K, strategy, H, first, stop) -> list[tuple[int, ...]]:
+    """The vectors of seeds first..stop-1, in seed order.  Looked up as a
+    module attribute, so a wrapped or patched run function is the one
+    called."""
+    return [random_discrete_morse(K, strategy, s, hasse=H).vector for s in range(first, stop)]
+
+
+def _fork_block(K, strategy, H, first, stop) -> tuple[int, int]:
+    """Fork a child that runs seeds first..stop-1 and writes one line
+    ``c0,c1,...`` per vector to a pipe; return its pid and the read end.
+    The child exits non-zero if its block raises."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            vectors = _run_block(K, strategy, H, first, stop)
+            with open(w, "w") as out:
+                out.write("".join(",".join(map(str, v)) + "\n" for v in vectors))
+            status = 0
+        except Exception:
+            sys.excepthook(*sys.exc_info())
+            sys.stderr.flush()
+        finally:
+            os._exit(status)  # no atexit handlers, no flushing of inherited buffers
+    os.close(w)
+    return pid, r
+
+
+def _read_block(fd: int) -> list[tuple[int, ...]]:
+    chunks = []
+    while chunk := os.read(fd, 1 << 16):
+        chunks.append(chunk)
+    text = b"".join(chunks).decode()
+    return [tuple(map(int, line.split(","))) for line in text.splitlines()]
 
 
 def format_vector(v: tuple[int, ...]) -> str:

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,14 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from plsphere import generators
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every child a test forks (``morse_spectrum`` workers) is reaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from plsphere import generators, io
+from plsphere import cli, generators, io
 from plsphere.cli import main
 
 ROOT = Path(__file__).parent.parent
@@ -159,6 +159,17 @@ def test_usage_error_exit_64(capsys):
 def test_capacity_exit_70_before_enumerating(capsys):
     # 2^41 faces: the capacity check must come before face enumeration
     code, out, err = run(capsys, "morse", "simplex:40")
+    assert code == 70
+    assert out == ""
+    assert err.startswith("plsphere: capacity exceeded")
+
+
+def test_memory_error_exit_70(capsys, monkeypatch):
+    def exhausted(spec, capacity=None):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "resolve_complex", exhausted)
+    code, out, err = run(capsys, "check", "sd:1:simplex:10")
     assert code == 70
     assert out == ""
     assert err.startswith("plsphere: capacity exceeded")

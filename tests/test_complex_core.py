@@ -112,6 +112,9 @@ def test_barycentric_capacity():
     K = generators.boundary_of_simplex(4)
     with pytest.raises(CapacityExceeded):
         K.barycentric_subdivision(capacity=10)
+    # 2047 faces fit, but the 11! maximal chains of the 10-simplex do not
+    with pytest.raises(CapacityExceeded):
+        generators.simplex(10).barycentric_subdivision(capacity=10**6)
 
 
 def test_hasse_levels_and_degrees(small_corpus):

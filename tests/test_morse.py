@@ -1,9 +1,12 @@
+import os
+
 import pytest
 
 from _oracles import betti_over_q
-from plsphere import generators
+from plsphere import generators, morse
+from plsphere.cli import resolve_complex
 from plsphere.complex_core import build_hasse
-from plsphere.errors import InconsistentMatching
+from plsphere.errors import InconsistentMatching, PLSphereError
 from plsphere.morse import (
     MorseResult,
     Strategy,
@@ -157,3 +160,80 @@ def test_spectrum_on_projective_plane():
     # (1,1,1) is the minimal vector here and should dominate
     assert res.counts.get((1, 1, 1), 0) > 100
 
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_spectrum_is_independent_of_the_worker_count(small_corpus, strategy):
+    complexes = dict(small_corpus, sd1_bd4=resolve_complex("sd:1:bd_simplex:4"))
+    rounds = 7
+    for name, K in complexes.items():
+        H = build_hasse(K)
+        serial = morse_spectrum(K, strategy, rounds, seed=11, hasse=H, workers=1)
+        for workers in (2, 3, rounds + 5):
+            res = morse_spectrum(K, strategy, rounds, seed=11, hasse=H, workers=workers)
+            assert list(res.counts.items()) == list(serial.counts.items()), (name, workers)
+            assert spectrum_tsv(res, include_runtime=False) == spectrum_tsv(
+                serial, include_runtime=False
+            ), (name, workers)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 25])
+def test_spectrum_merges_blocks_in_seed_order(monkeypatch, workers):
+    # real runs on small complexes mostly repeat one vector, so a stand-in
+    # run with a new vector every third seed pins the order of ``counts``
+    def run(K, strategy, seed, hasse=None):
+        k = (seed - 40) // 3
+        return MorseResult((1 + k, k, 0), [], [], seed, strategy)
+
+    monkeypatch.setattr(morse, "random_discrete_morse", run)
+    K = generators.simplex(2)
+    res = morse_spectrum(K, Strategy.RANDOM_RANDOM, rounds=20, seed=40, workers=workers)
+    expected = {(1 + k, k, 0): 3 for k in range(6)}
+    expected[(7, 6, 0)] = 2
+    assert list(res.counts.items()) == list(expected.items())
+
+
+def test_spectrum_default_workers_match_serial():
+    K = generators.rp2_6()
+    res = morse_spectrum(K, Strategy.RANDOM_RANDOM, rounds=40, seed=3)
+    serial = morse_spectrum(K, Strategy.RANDOM_RANDOM, rounds=40, seed=3, workers=1)
+    assert list(res.counts.items()) == list(serial.counts.items())
+
+
+def test_single_round_forks_nothing(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    res = morse_spectrum(generators.rp2_6(), Strategy.RANDOM_LEX_FIRST, rounds=1, seed=0, workers=4)
+    assert sum(res.counts.values()) == 1
+
+
+def test_spectrum_rejects_zero_workers():
+    with pytest.raises(ValueError):
+        morse_spectrum(generators.simplex(3), Strategy.RANDOM_RANDOM, rounds=3, seed=0, workers=0)
+
+
+def _failing_on(bad_seed, error=RuntimeError):
+    real = morse.random_discrete_morse
+
+    def run(K, strategy, seed, **kw):
+        if seed == bad_seed:
+            raise error(f"seed {seed}")
+        return real(K, strategy, seed, **kw)
+
+    return run
+
+
+def test_failing_child_block_raises(monkeypatch):
+    # rounds 10 over 2 workers: seeds 100..104 in the parent, 105..109 in the child
+    monkeypatch.setattr(morse, "random_discrete_morse", _failing_on(107))
+    with pytest.raises(PLSphereError, match="105..109"):
+        morse_spectrum(generators.rp2_6(), Strategy.RANDOM_RANDOM, rounds=10, seed=100, workers=2)
+
+
+@pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+def test_failing_parent_block_reaps_children(monkeypatch, error):
+    monkeypatch.setattr(morse, "random_discrete_morse", _failing_on(101, error))
+    with pytest.raises(error):
+        morse_spectrum(generators.rp2_6(), Strategy.RANDOM_RANDOM, rounds=10, seed=100, workers=3)
