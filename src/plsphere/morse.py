@@ -7,12 +7,14 @@ Runs never mutate the shared Hasse diagram; each run keeps private alive
 flags and coface counts.
 
 A run depends only on (K, strategy, seed), so ``morse_spectrum`` splits its
-seeds into contiguous blocks, one per CPU.  The parent builds the Hasse
-diagram once and forks a child per block after the first, which inherits K
-and the diagram without pickling.  The parent runs the first block itself;
-each child sends back only its vectors, as text lines over a pipe.  The
-parent reads the blocks in seed order, so the spectrum is the same for any
-number of workers.
+seeds into contiguous blocks, one per CPU, up to ``MAX_WORKERS``.  The
+parent builds the Hasse diagram once and forks a child per block after the
+first, which inherits K and the diagram without pickling.  The parent runs
+the first block itself; each child sends back only its vectors, as text
+lines over a pipe.  The parent reads the blocks in seed order, so the
+spectrum is the same for any number of workers.  It forks nothing where
+fork is missing or unsafe: on macOS, and while the calling process runs
+more than one thread.
 """
 
 from __future__ import annotations
@@ -301,30 +303,21 @@ def morse_spectrum(
     seed: int,
     hasse: HasseDiagram | None = None,
     capacity: int = DEFAULT_CAPACITY,
-    workers: int | None = None,
 ) -> SpectrumResult:
     """Run seeds seed, seed+1, ... and aggregate identical Morse vectors.
 
-    The seeds are split into ``w = min(rounds, workers)`` contiguous blocks;
-    block i holds seeds ``seed + rounds*i//w`` to ``seed +
+    The seeds are split into ``w = _worker_count(rounds)`` contiguous
+    blocks; block i holds seeds ``seed + rounds*i//w`` to ``seed +
     rounds*(i+1)//w - 1``.  The parent runs block 0 and forks one child per
-    other block; ``workers`` defaults to the CPUs in the process's affinity
-    mask, and is 1 where ``os.fork`` is missing.  Every vector is checked
-    against the Morse-Euler identity and counted in seed order, so
-    ``counts`` and its order do not depend on ``w``.  ``elapsed`` is wall
-    time.
+    other block.  Every vector is checked against the Morse-Euler identity
+    and counted in seed order, so ``counts`` and its order do not depend on
+    ``w``.  ``elapsed`` is wall time.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    if workers is None:
-        workers = _available_cpus()
-    elif workers < 1:
-        raise ValueError("workers must be >= 1")
-    if not hasattr(os, "fork"):
-        workers = 1
     H = hasse if hasse is not None else build_hasse(K, capacity)
     chi = K.euler_characteristic()
-    w = min(rounds, workers)
+    w = _worker_count(rounds)
     cut = [seed + rounds * i // w for i in range(w + 1)]
     t0 = time.perf_counter()
     children: list[tuple[int, int]] = []  # (pid, read end), blocks 1..w-1
@@ -360,6 +353,25 @@ def morse_spectrum(
             counts[v] = counts.get(v, 0) + 1
     elapsed = time.perf_counter() - t0
     return SpectrumResult(counts=counts, strategy=strategy, seed=seed, rounds=rounds, elapsed=elapsed)
+
+
+#: Each child touches copy-on-write pages of K and the Hasse diagram until
+#: it holds about as much memory as the parent, so one spectrum needs up to
+#: this many times the memory of a serial run, however many CPUs there are.
+MAX_WORKERS = 4
+
+
+def _worker_count(rounds: int) -> int:
+    """min(rounds, MAX_WORKERS, CPUs in the affinity mask), or 1 where a
+    fork without exec is unsafe: no ``os.fork``, macOS, or a caller that
+    runs other threads (one of them may hold a lock the child then waits
+    on forever)."""
+    if not hasattr(os, "fork") or sys.platform == "darwin":
+        return 1
+    threading = sys.modules.get("threading")
+    if threading is not None and threading.active_count() > 1:
+        return 1
+    return min(rounds, MAX_WORKERS, _available_cpus())
 
 
 def _available_cpus() -> int:

@@ -162,15 +162,42 @@ def test_spectrum_on_projective_plane():
 
 
 
+def _use_workers(monkeypatch, n):
+    """Let ``morse_spectrum`` run min(rounds, n) workers."""
+    monkeypatch.setattr(morse, "_available_cpus", lambda: n)
+    monkeypatch.setattr(morse, "MAX_WORKERS", n)
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    real = os.fork
+
+    def fork():
+        forks.append(1)
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _no_fork(monkeypatch):
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
-def test_spectrum_is_independent_of_the_worker_count(small_corpus, strategy):
+def test_spectrum_is_independent_of_the_worker_count(monkeypatch, small_corpus, strategy):
     complexes = dict(small_corpus, sd1_bd4=resolve_complex("sd:1:bd_simplex:4"))
     rounds = 7
     for name, K in complexes.items():
         H = build_hasse(K)
-        serial = morse_spectrum(K, strategy, rounds, seed=11, hasse=H, workers=1)
+        _use_workers(monkeypatch, 1)
+        serial = morse_spectrum(K, strategy, rounds, seed=11, hasse=H)
         for workers in (2, 3, rounds + 5):
-            res = morse_spectrum(K, strategy, rounds, seed=11, hasse=H, workers=workers)
+            _use_workers(monkeypatch, workers)
+            res = morse_spectrum(K, strategy, rounds, seed=11, hasse=H)
             assert list(res.counts.items()) == list(serial.counts.items()), (name, workers)
             assert spectrum_tsv(res, include_runtime=False) == spectrum_tsv(
                 serial, include_runtime=False
@@ -186,32 +213,65 @@ def test_spectrum_merges_blocks_in_seed_order(monkeypatch, workers):
         return MorseResult((1 + k, k, 0), [], [], seed, strategy)
 
     monkeypatch.setattr(morse, "random_discrete_morse", run)
+    _use_workers(monkeypatch, workers)
+    forks = _count_forks(monkeypatch)
     K = generators.simplex(2)
-    res = morse_spectrum(K, Strategy.RANDOM_RANDOM, rounds=20, seed=40, workers=workers)
+    res = morse_spectrum(K, Strategy.RANDOM_RANDOM, rounds=20, seed=40)
     expected = {(1 + k, k, 0): 3 for k in range(6)}
     expected[(7, 6, 0)] = 2
     assert list(res.counts.items()) == list(expected.items())
+    assert len(forks) == min(20, workers) - 1
 
 
-def test_spectrum_default_workers_match_serial():
+def test_spectrum_default_workers_match_serial(monkeypatch):
     K = generators.rp2_6()
     res = morse_spectrum(K, Strategy.RANDOM_RANDOM, rounds=40, seed=3)
-    serial = morse_spectrum(K, Strategy.RANDOM_RANDOM, rounds=40, seed=3, workers=1)
+    _use_workers(monkeypatch, 1)
+    serial = morse_spectrum(K, Strategy.RANDOM_RANDOM, rounds=40, seed=3)
     assert list(res.counts.items()) == list(serial.counts.items())
 
 
-def test_single_round_forks_nothing(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked")
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(morse, "_available_cpus", lambda: 64)
+    forks = _count_forks(monkeypatch)
+    morse_spectrum(generators.rp2_6(), Strategy.RANDOM_LEX_LAST, rounds=20, seed=0)
+    assert len(forks) == morse.MAX_WORKERS - 1
 
-    monkeypatch.setattr(os, "fork", no_fork)
-    res = morse_spectrum(generators.rp2_6(), Strategy.RANDOM_LEX_FIRST, rounds=1, seed=0, workers=4)
+
+def test_single_round_forks_nothing(monkeypatch):
+    _use_workers(monkeypatch, 4)
+    _no_fork(monkeypatch)
+    res = morse_spectrum(generators.rp2_6(), Strategy.RANDOM_LEX_FIRST, rounds=1, seed=0)
     assert sum(res.counts.values()) == 1
 
 
-def test_spectrum_rejects_zero_workers():
-    with pytest.raises(ValueError):
-        morse_spectrum(generators.simplex(3), Strategy.RANDOM_RANDOM, rounds=3, seed=0, workers=0)
+def test_spectrum_beside_another_thread_forks_nothing(monkeypatch):
+    # a fork while another thread holds a lock can hang the child, and the
+    # parent with it, so a multi-threaded caller gets a serial spectrum
+    import threading
+
+    K = generators.rp2_6()
+    _use_workers(monkeypatch, 1)
+    serial = morse_spectrum(K, Strategy.RANDOM_RANDOM, rounds=12, seed=5)
+    _use_workers(monkeypatch, 4)
+    _no_fork(monkeypatch)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        res = morse_spectrum(K, Strategy.RANDOM_RANDOM, rounds=12, seed=5)
+    finally:
+        done.set()
+        other.join()
+    assert list(res.counts.items()) == list(serial.counts.items())
+
+
+def test_spectrum_on_macos_forks_nothing(monkeypatch):
+    _use_workers(monkeypatch, 4)
+    _no_fork(monkeypatch)
+    monkeypatch.setattr(morse.sys, "platform", "darwin")
+    res = morse_spectrum(generators.rp2_6(), Strategy.RANDOM_RANDOM, rounds=12, seed=5)
+    assert sum(res.counts.values()) == 12
 
 
 def _failing_on(bad_seed, error=RuntimeError):
@@ -228,12 +288,14 @@ def _failing_on(bad_seed, error=RuntimeError):
 def test_failing_child_block_raises(monkeypatch):
     # rounds 10 over 2 workers: seeds 100..104 in the parent, 105..109 in the child
     monkeypatch.setattr(morse, "random_discrete_morse", _failing_on(107))
+    _use_workers(monkeypatch, 2)
     with pytest.raises(PLSphereError, match="105..109"):
-        morse_spectrum(generators.rp2_6(), Strategy.RANDOM_RANDOM, rounds=10, seed=100, workers=2)
+        morse_spectrum(generators.rp2_6(), Strategy.RANDOM_RANDOM, rounds=10, seed=100)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_failing_parent_block_reaps_children(monkeypatch, error):
     monkeypatch.setattr(morse, "random_discrete_morse", _failing_on(101, error))
+    _use_workers(monkeypatch, 3)
     with pytest.raises(error):
-        morse_spectrum(generators.rp2_6(), Strategy.RANDOM_RANDOM, rounds=10, seed=100, workers=3)
+        morse_spectrum(generators.rp2_6(), Strategy.RANDOM_RANDOM, rounds=10, seed=100)
