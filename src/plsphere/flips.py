@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .complex_core import Face, SimplicialComplex
-from .errors import ImproperMove, NotPseudomanifold, StaleOption
+from .errors import ImproperMove, InvalidSpec, NotPseudomanifold, StaleOption
 from .rng import Rng
 
 TRAJECTORY_BUFFER = 10**6
@@ -285,6 +285,11 @@ def bistellar_simplify(
         raise NotPseudomanifold("simplification needs dimension >= 2")
     schedule = schedule or AnnealingSchedule()
     weights = schedule.heat_weights or default_heat_weights(K.dim)
+    # weight k picks k-moves, which act on faces of dimension d - k >= 0
+    if len(weights) > K.dim + 1 or min(weights) < 0 or sum(weights) == 0:
+        raise InvalidSpec(
+            f"heat weights {weights}: need at most {K.dim + 1} non-negative weights with a positive sum"
+        )
     state = FlipState(K, Rng(seed), record_trajectory=True)
 
     best_f = state.f_vector()

@@ -26,7 +26,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .complex_core import DEFAULT_CAPACITY, Face, HasseDiagram, SimplicialComplex, build_hasse
+from .complex_core import Face, HasseDiagram, SimplicialComplex, build_hasse
 from .errors import InconsistentMatching, PLSphereError
 from .rng import Rng
 
@@ -65,14 +65,13 @@ def random_discrete_morse(
     strategy: Strategy,
     seed: int,
     hasse: HasseDiagram | None = None,
-    capacity: int = DEFAULT_CAPACITY,
 ) -> MorseResult:
     """One randomized collapse run; deterministic given (K, strategy, seed).
 
     ``hasse`` may be a prebuilt diagram of K to amortize construction over
     many runs.
     """
-    H = hasse if hasse is not None else build_hasse(K, capacity)
+    H = hasse if hasse is not None else build_hasse(K)
     rng = Rng(seed)
     faces = H.faces
     alive = bytearray(b"\x01") * H.n_nodes()
@@ -302,7 +301,6 @@ def morse_spectrum(
     rounds: int,
     seed: int,
     hasse: HasseDiagram | None = None,
-    capacity: int = DEFAULT_CAPACITY,
 ) -> SpectrumResult:
     """Run seeds seed, seed+1, ... and aggregate identical Morse vectors.
 
@@ -315,7 +313,7 @@ def morse_spectrum(
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    H = hasse if hasse is not None else build_hasse(K, capacity)
+    H = hasse if hasse is not None else build_hasse(K)
     chi = K.euler_characteristic()
     w = _worker_count(rounds)
     cut = [seed + rounds * i // w for i in range(w + 1)]

@@ -1,18 +1,26 @@
 """Heuristic PL-sphere recognition and the combinatorial-manifold check.
 
-The pipeline for dimension >= 3 runs, in order: random discrete Morse
-searches (a spherical vector certifies YES), integral homology (a
-non-spherical answer certifies NO), a bounded fundamental-group triviality
+One rule decides every dimension.  :func:`recognize_sphere` judges a
+d-complex K given two facts: K passes :func:`precheck` (it is pure, every
+ridge lies in exactly two facets, and the 1-skeleton is connected), and the
+link of every face of K is a PL sphere.  Given both, K is two points for
+d = 0, a single cycle for d = 1, and a closed surface, a sphere iff its
+Euler characteristic is 2, for d = 2.  For d >= 3 it runs, in order: random
+discrete Morse searches (a spherical vector certifies YES), integral homology
+(a non-spherical answer certifies NO), a bounded fundamental-group triviality
 test (YES off dimension 4, where only the topological type follows), and
 bistellar simplification toward the boundary of a simplex.  Every YES or NO
 carries a replayable certificate; anything else is reported UNDECIDED.
 
-:func:`recognize` runs :func:`precheck` once, and the later stages rely on
-what it proves: the complex is pure, every ridge lies in exactly two facets,
-and the 1-skeleton is connected.  So a passing 0-dimensional complex is two
-points, a passing 1-dimensional one is a single cycle, and the link of an
-i-face has dimension d - i - 1.  The link of a ridge is two points, a
-0-sphere, so the inductive manifold check stops at the (d - 2)-faces.
+:func:`is_combinatorial_manifold` establishes the second fact.  The link of
+an i-face F has dimension d - i - 1, and the link of a face G inside it is
+the link of the union of F and G in K.  So the check judges each link L
+by ``precheck(L)`` and ``recognize_sphere(L)`` alone and never re-derives
+the links of L: it visits every face of dimension <= d - 2 anyway (the link
+of a ridge is two points) and stops at the first NO.  A link judged YES
+whose own links fail still ends the check in NO, at the larger face.
+:func:`recognize` runs the manifold check on K and then
+:func:`recognize_sphere` on K itself.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .complex_core import DEFAULT_CAPACITY, Face, SimplicialComplex, build_hasse
+from .complex_core import Face, SimplicialComplex, build_hasse
 from .errors import NotPure, PrereqFailed
 from .flips import bistellar_simplify
 from .homology import homology
@@ -53,9 +61,9 @@ class Answer(Enum):
 @dataclass(frozen=True)
 class Certificate:
     """A replayable witness for a YES/NO answer; ``kind`` is one of
-    spherical_morse, non_spherical_homology, trivial_pi1, non_trivial_pi1,
-    flip_path, pseudomanifold_failure, euler_characteristic, link_failure,
-    vertex_count, polygon."""
+    spherical_morse, non_spherical_homology, trivial_pi1, flip_path,
+    pseudomanifold_failure, euler_characteristic, link_failure, vertex_count,
+    polygon."""
 
     kind: str
     payload: object = None
@@ -82,13 +90,12 @@ class RecognitionConfig:
     strategy: Strategy = Strategy.RANDOM_RANDOM
     seed: int = 0
     pi1_budget: int = 10**6
-    capacity: int = DEFAULT_CAPACITY
 
     def __post_init__(self):
         if self.morse_rounds < 0 or self.flip_rounds < 0:
             raise PrereqFailed("round counts must be >= 0")
-        if self.pi1_budget <= 0 or self.capacity <= 0:
-            raise PrereqFailed("budgets must be positive")
+        if self.pi1_budget <= 0:
+            raise PrereqFailed("the pi1 budget must be positive")
 
 
 def precheck(K: SimplicialComplex) -> Verdict | None:
@@ -121,47 +128,28 @@ def precheck(K: SimplicialComplex) -> Verdict | None:
     return None
 
 
-def recognize_small_dim(K: SimplicialComplex) -> Verdict:
-    """Exact sphere recognition in dimensions 0, 1 and 2."""
+def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None) -> Verdict:
+    """Decide K given that it passes :func:`precheck` and that the link of
+    every face of K is a PL sphere; :func:`recognize` establishes both."""
+    cfg = cfg or RecognitionConfig()
     d = K.dim
-    if d > 2:
-        raise PrereqFailed(f"exact recognition limited to dimension <= 2, got {d}")
-    bad = precheck(K)
-    if bad is not None:
-        return bad
     if d == 0:
         return Verdict(Answer.YES, Certificate("vertex_count", 2), ["two isolated vertices"])
     if d == 1:
         return Verdict(Answer.YES, Certificate("polygon", K.f_vector()), ["single cycle"])
-    # d == 2: closed surface iff every vertex link is a single cycle, that is,
-    # passes the precheck
-    for v in K.vertices:
-        if precheck(K.link((v,))) is not None:
-            return Verdict(
-                Answer.NO,
-                Certificate("link_failure", (v,)),
-                [f"vertex {v} has a non-cycle link"],
-            )
-    chi = K.euler_characteristic()
-    if chi == 2:
-        return Verdict(Answer.YES, Certificate("euler_characteristic", 2), ["closed surface with chi = 2"])
-    return Verdict(
-        Answer.NO,
-        Certificate("euler_characteristic", chi),
-        [f"closed surface with chi = {chi} != 2"],
-    )
-
-
-def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None) -> Verdict:
-    """The heuristic pipeline for a combinatorial manifold of dim >= 3."""
-    cfg = cfg or RecognitionConfig()
-    d = K.dim
-    if d < 3:
-        raise PrereqFailed("heuristic pipeline requires dimension >= 3")
+    if d == 2:
+        chi = K.euler_characteristic()
+        if chi == 2:
+            return Verdict(Answer.YES, Certificate("euler_characteristic", 2), ["closed surface with chi = 2"])
+        return Verdict(
+            Answer.NO,
+            Certificate("euler_characteristic", chi),
+            [f"closed surface with chi = {chi} != 2"],
+        )
     log: list[str] = []
 
     if cfg.morse_rounds > 0:
-        H = build_hasse(K, capacity=cfg.capacity)
+        H = build_hasse(K)
         for r in range(cfg.morse_rounds):
             res = random_discrete_morse(K, cfg.strategy, seed=cfg.seed + r, hasse=H)
             if is_spherical(res.vector):
@@ -185,9 +173,8 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
                 Answer.TOPOLOGICAL_SPHERE_ONLY, Certificate("trivial_pi1", pv), log
             )
         return Verdict(Answer.YES, Certificate("trivial_pi1", pv), log)
-    if pv.verdict is Pi1Verdict.NON_TRIVIAL:
-        log.append(f"pi1: non-trivial abelianization {pv.abelianization}")
-        return Verdict(Answer.NO, Certificate("non_trivial_pi1", pv), log)
+    # H_1 = 0 here, so pi1 has a trivial abelianization and is never shown
+    # non-trivial
     log.append("pi1: inconclusive at budget")
 
     if cfg.flip_rounds > 0:
@@ -215,9 +202,12 @@ def is_combinatorial_manifold(
 ) -> ManifoldReport:
     """Check that the link of every face of dimension <= d - 2 is a PL sphere.
 
-    A precheck failure is reported as the single failure ``((), verdict)``.
-    Works bottom-up by face dimension (vertex links first) and caches link
-    verdicts by facet set, since links repeat heavily in structured inputs.
+    A precheck failure of K is reported as the single failure ``((), verdict)``.
+    Each link L is judged given its own links, as ``precheck(L)`` or else
+    ``recognize_sphere(L)``: the links of L are links of larger faces of K,
+    which this loop visits too, bottom-up by face dimension (vertex links
+    first), stopping at the first NO.  Verdicts are cached by facet tuple,
+    since links repeat heavily in structured inputs.
     """
     cfg = cfg or RecognitionConfig()
     bad = precheck(K)
@@ -225,7 +215,7 @@ def is_combinatorial_manifold(
         return ManifoldReport(Answer.NO, [((), bad)], 0, 0, list(bad.log))
 
     link_cfg = replace(cfg, morse_rounds=LINK_MORSE_ROUNDS)
-    cache: dict[frozenset, Verdict] = {}
+    cache: dict[tuple[Face, ...], Verdict] = {}
     failures: list[tuple[Face, Verdict]] = []
     checked = hits = 0
     log: list[str] = []
@@ -234,15 +224,10 @@ def is_combinatorial_manifold(
     for i in range(K.dim - 1):
         for F in K.faces(i):
             L = K.link(F)
-            key = frozenset(L.facets)
-            verdict = cache.get(key)
+            verdict = cache.get(L.facets)
             if verdict is None:
-                if L.dim <= 2:
-                    verdict = recognize_small_dim(L)
-                else:
-                    pre = precheck(L)
-                    verdict = pre if pre is not None else recognize_sphere(L, link_cfg)
-                cache[key] = verdict
+                verdict = precheck(L) or recognize_sphere(L, link_cfg)
+                cache[L.facets] = verdict
                 checked += 1
             else:
                 hits += 1
@@ -260,14 +245,12 @@ def is_combinatorial_manifold(
 
 
 def recognize(K: SimplicialComplex, cfg: RecognitionConfig | None = None) -> Verdict:
-    """Full decision procedure: exact small dimensions, else the precheck and
-    the inductive manifold check, then the heuristic pipeline."""
+    """Full decision procedure: the precheck and the manifold check, then
+    :func:`recognize_sphere` on K."""
     cfg = cfg or RecognitionConfig()
-    if K.dim <= 2:
-        return recognize_small_dim(K)
     report = is_combinatorial_manifold(K, cfg)
     if report.summary is Answer.NO:
-        face, verdict = report.failures[0]
+        face, verdict = report.failures[-1]
         if face == ():
             return verdict
         return Verdict(
@@ -282,3 +265,10 @@ def recognize(K: SimplicialComplex, cfg: RecognitionConfig | None = None) -> Ver
             report.log + ["manifold check inconclusive"],
         )
     return recognize_sphere(K, cfg)
+
+
+def recognize_small_dim(K: SimplicialComplex) -> Verdict:
+    """Exact sphere recognition in dimensions 0, 1 and 2."""
+    if K.dim > 2:
+        raise PrereqFailed(f"exact recognition limited to dimension <= 2, got {K.dim}")
+    return recognize(K)

@@ -227,6 +227,15 @@ def test_negative_subdivision_count_exit_65(capsys):
     assert "negative subdivision count" in err
 
 
+@pytest.mark.parametrize("weights", ["0,0,0,0,0,1", "0,0,0,0,1", "0,0", "1,-1"])
+def test_bad_heat_dist_exit_65(capsys, weights):
+    # a 3-sphere has k-moves for k <= 3 only
+    code, out, err = run(capsys, "flips", "perturbed_sphere:3:5:20:0:1", "--heat-dist", weights)
+    assert code == 65
+    assert out == ""
+    assert err.startswith("plsphere: heat weights")
+
+
 def test_seed_echoed(capsys):
     code, out, _ = run(capsys, "morse", "simplex:3", "--seed", "9")
     assert "seed: 9" in out

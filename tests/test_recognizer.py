@@ -13,6 +13,7 @@ from plsphere.recognizer import (
     Answer,
     Certificate,
     RecognitionConfig,
+    Verdict,
     is_combinatorial_manifold,
     precheck,
     recognize,
@@ -129,11 +130,56 @@ def test_small_dim_recognition_matches_oracle(facets):
     assert (v.answer is Answer.YES) == is_sphere_small_dim_naive(facets)
 
 
+@given(small_dim_facet_lists())
+@settings(max_examples=60, deadline=None)
+def test_suspension_recognition_matches_oracle(facets):
+    # the links of a suspension are judged given their own links
+    v = recognize(generators.suspension(SimplicialComplex.from_facets(facets)))
+    assert v.answer in (Answer.YES, Answer.NO)
+    assert (v.answer is Answer.YES) == is_sphere_small_dim_naive(facets)
+
+
 def test_small_dim_rejects_high_dimension():
     with pytest.raises(PrereqFailed):
         recognize_small_dim(generators.boundary_of_simplex(4))
-    with pytest.raises(PrereqFailed):
-        recognize_sphere(generators.boundary_of_simplex(3))
+    v = recognize_sphere(generators.boundary_of_simplex(3))
+    assert v.answer is Answer.YES
+    assert v.certificate == Certificate("euler_characteristic", 2)
+
+
+def test_link_failure_at_the_face_whose_link_fails_the_precheck():
+    # two octahedra glued at two antipodal vertex pairs: chi = 2, but the
+    # links of 0 and 1 are two disjoint cycles each
+    octa = [list(f) for f in SURFACES[1]]
+    glue = {10: 0, 11: 1}
+    P = SimplicialComplex.from_facets(octa + [[glue.get(v + 10, v + 10) for v in f] for f in octa])
+    assert P.euler_characteristic() == 2
+    S = generators.suspension(P)
+    v = recognize(S)
+    assert v.answer is Answer.NO
+    assert v.certificate.kind == "link_failure"
+    face, link_verdict = v.certificate.payload
+    # the link of the vertex 0 has chi = 2; the link of the edge (0, 16),
+    # 16 an apex, is the link of 0 in P
+    assert face == (0, 16)
+    assert precheck(S.link(face)) == link_verdict
+
+
+def test_link_failure_names_the_no_after_undecided_links(monkeypatch):
+    judge = recognizer.recognize_sphere
+
+    def undecided_on_two_spheres(L, cfg=None):
+        if L.dim == 2 and L.euler_characteristic() == 2:
+            return Verdict(Answer.UNDECIDED, None, [])
+        return judge(L, cfg)
+
+    monkeypatch.setattr(recognizer, "recognize_sphere", undecided_on_two_spheres)
+    # vertices 0..5 have 2-sphere links, the apex 6 has the link rp2_6
+    v = recognize(generators.suspension(generators.rp2_6()))
+    assert v.answer is Answer.NO
+    face, link_verdict = v.certificate.payload
+    assert face == (6,)
+    assert link_verdict.certificate.kind == "euler_characteristic"
 
 
 def test_recognize_boundary_of_simplex_4_via_morse():
