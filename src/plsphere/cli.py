@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import generators, io
-from .complex_core import DEFAULT_CAPACITY, SimplicialComplex
+from .complex_core import SimplicialComplex
 from .errors import CapacityExceeded, InvalidSpec, PLSphereError
 from .flips import AnnealingSchedule, bistellar_simplify, trajectory_tsv
 from .homology import homology
@@ -43,7 +43,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
-def resolve_complex(spec: str, capacity: int = DEFAULT_CAPACITY) -> SimplicialComplex:
+def resolve_complex(spec: str) -> SimplicialComplex:
     """A builtin specifier, or failing that a facet-file path."""
     head = spec.split(":", 1)[0]
     if head == "sd":
@@ -51,9 +51,9 @@ def resolve_complex(spec: str, capacity: int = DEFAULT_CAPACITY) -> SimplicialCo
         rounds = int(k)
         if rounds < 0:
             raise InvalidSpec(f"negative subdivision count in {spec!r}")
-        K = resolve_complex(rest, capacity)
+        K = resolve_complex(rest)
         for _ in range(rounds):
-            K = K.barycentric_subdivision(capacity=capacity)
+            K = K.barycentric_subdivision()
         return K
     if head in generators.GENERATORS:
         build = generators.GENERATORS[head]

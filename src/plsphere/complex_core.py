@@ -21,8 +21,15 @@ from .errors import (
 
 Face = tuple  # strictly increasing tuple of ints
 
-#: default cap on the total number of faces materialized in one Hasse diagram
-DEFAULT_CAPACITY = 2**31
+#: the face budget, read at call time: at about 174 bytes of peak RSS per
+#: face (``check simplex:19``, 2^20 - 1 faces), 2^23 faces is about 1.5 GB
+DEFAULT_CAPACITY = 2**23
+
+
+def check_capacity(needed: int) -> None:
+    """Refuse work that would materialize more than ``DEFAULT_CAPACITY`` items."""
+    if needed > DEFAULT_CAPACITY:
+        raise CapacityExceeded(needed, DEFAULT_CAPACITY)
 
 
 class SimplicialComplex:
@@ -77,9 +84,15 @@ class SimplicialComplex:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
+    def face_bound(self) -> int:
+        """Upper bound on the face count: facet f has 2^|f| - 1 faces."""
+        return sum(2 ** len(f) - 1 for f in self.facets)
+
     def faces_by_dim(self) -> list[list[Face]]:
-        """All faces, grouped by dimension, each group sorted lex."""
+        """All faces, grouped by dimension, each group sorted lex; refused
+        before enumerating when the face bound is over the budget."""
         if self._faces_by_dim is None:
+            check_capacity(self.face_bound())
             seen = [set() for _ in range(self.dim + 1)]
             for f in self.facets:
                 seen[len(f) - 1].add(f)
@@ -186,25 +199,20 @@ class SimplicialComplex:
         # distinct facets minus a common face stay distinct and maximal
         return SimplicialComplex(tuple(v for v in g if v not in fs) for g in star)
 
-    def barycentric_subdivision(self, capacity: int = DEFAULT_CAPACITY) -> "SimplicialComplex":
+    def barycentric_subdivision(self) -> "SimplicialComplex":
         """Order complex of the face poset.
 
         New vertex labels are the (dimension, lex) ranks of the old faces;
         facets are the maximal chains, (d+1)! per d-facet.  Both counts are
-        checked against ``capacity`` before anything is built.
+        checked against the face budget before anything is built.
         """
-        chains = sum(factorial(len(f)) for f in self.facets)
-        if chains > capacity:
-            raise CapacityExceeded(chains, capacity)
-        levels = self.faces_by_dim()
+        check_capacity(sum(factorial(len(f)) for f in self.facets))
         rank = {}
         next_id = 0
-        for level in levels:
+        for level in self.faces_by_dim():
             for f in level:
                 rank[f] = next_id
                 next_id += 1
-        if next_id > capacity:
-            raise CapacityExceeded(next_id, capacity)
         new_facets = []
         for facet in self.facets:
             for order in permutations(facet):
@@ -241,23 +249,11 @@ class HasseDiagram:
         """Node id of ``face``, or None if it is not a face of the complex."""
         return self.locator.get(tuple(sorted(face)))
 
-    def down_neighbors(self, node: int):
-        return self.down[node]
 
-    def up_degrees(self) -> list[int]:
-        return list(map(len, self.up))
-
-
-def build_hasse(K: SimplicialComplex, capacity: int = DEFAULT_CAPACITY) -> HasseDiagram:
+def build_hasse(K: SimplicialComplex) -> HasseDiagram:
     """Construct the full Hasse diagram of K by level-wise generation."""
-    # a top-dimensional face alone has 2^(dim+1) - 1 faces: refuse before
-    # enumerating anything when even that bound is over the capacity
-    if 2 ** (K.dim + 1) - 1 > capacity:
-        raise CapacityExceeded(2 ** (K.dim + 1) - 1, capacity)
     levels = K.faces_by_dim()
     total = sum(len(level) for level in levels)
-    if total > capacity:
-        raise CapacityExceeded(total, capacity)
 
     H = HasseDiagram()
     H.dim = K.dim

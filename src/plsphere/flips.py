@@ -1,10 +1,12 @@
 """Bistellar flips and simulated-annealing simplification.
 
-The flip kernel works on a facet set plus a face -> containing-facets index
-instead of a full face lattice.  A flip updates that index once, for the
-faces of the facets it removes and adds, and keeps the flippable faces of
-each dimension in a sorted list.  A move pays for the star it replaces, the
-options it tries and one copy of a candidate list, but sorts nothing.
+The flip kernel works on a face -> containing-facets index instead of a
+full face lattice.  A flip updates that index once, for the faces of the
+facets it removes and adds, and keeps the flippable faces of each dimension
+in a sorted list.  A facet lies in one facet, itself, so the flippable
+d-faces ``candidates[d]`` are the facets: no separate facet set is kept.
+A move pays for the star it replaces, the options it tries and one copy of
+a candidate list, but sorts nothing.
 ``bistellar_simplify`` anneals toward the lexicographically smallest
 f-vector, alternating cooling (f-reducing flips) with bounded heating bursts
 when progress stalls.
@@ -17,7 +19,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .complex_core import Face, SimplicialComplex
+from .complex_core import Face, SimplicialComplex, check_capacity
 from .errors import ImproperMove, InvalidSpec, NotPseudomanifold, StaleOption
 from .rng import Rng
 
@@ -37,19 +39,21 @@ class FlipMove:
 class FlipState:
     """Mutable pseudomanifold under bistellar flips.
 
-    Maintains the facet set, the star of each face (the set of facets
-    containing it, so ``len(star[face])`` is its cofacet count), the
-    f-vector, and per dimension i the sorted list ``candidates[i]`` of the
-    flippable faces, those in exactly d-i+1 facets.
+    Maintains the star of each face (the set of facets containing it, so
+    ``len(star[face])`` is its cofacet count), the f-vector, and per
+    dimension i the sorted list ``candidates[i]`` of the flippable faces,
+    those in exactly d-i+1 facets.  ``candidates[d]`` is the facet list.
+    A star is kept for every face, so the input's face bound is checked
+    against the face budget first.
     """
 
-    def __init__(self, K: SimplicialComplex, rng: Rng | int, record_trajectory: bool = False):
+    def __init__(self, K: SimplicialComplex, rng: Rng, record_trajectory: bool = False):
+        check_capacity(K.face_bound())
         ok, witness = K.is_closed_pseudomanifold()
         if not ok:
             raise NotPseudomanifold(f"ridge {witness[0]} lies in {witness[1]} facets")
         self.d = K.dim
-        self.rng = rng if isinstance(rng, Rng) else Rng(rng)
-        self.facets: set[Face] = set()
+        self.rng = rng
         self.star: dict[Face, set[Face]] = {}
         self.f = [0] * (self.d + 1)
         self.candidates: list[list[Face]] = [[] for _ in range(self.d + 1)]
@@ -58,22 +62,25 @@ class FlipState:
         self.trajectory: deque[FlipMove] | None = (
             deque(maxlen=TRAJECTORY_BUFFER) if record_trajectory else None
         )
-        self.moves_applied = 0
         self._update((), K.facets)
+
+    @property
+    def facets(self) -> list[Face]:
+        """The facets in sorted order (the live ``candidates[d]`` list)."""
+        return self.candidates[self.d]
 
     # -- incremental index maintenance ----------------------------------
 
     def _update(self, removed, added) -> None:
         """Replace the facets ``removed`` by ``added``.
 
-        The star and facet set change first; then every face of a touched
-        facet is recounted once against its cofacet count from before, which
-        updates the f-vector and the candidate lists.
+        The stars change first; then every face of a touched facet is
+        recounted once against its cofacet count from before, which updates
+        the f-vector and the candidate lists.
         """
         star = self.star
         before: dict[Face, int] = {}
         for g in removed:
-            self.facets.remove(g)
             for s in range(1, len(g) + 1):
                 for sub in combinations(g, s):
                     cof = star[sub]
@@ -81,7 +88,6 @@ class FlipState:
                         before[sub] = len(cof)
                     cof.remove(g)
         for g in added:
-            self.facets.add(g)
             for s in range(1, len(g) + 1):
                 for sub in combinations(g, s):
                     cof = star.get(sub)
@@ -161,7 +167,6 @@ class FlipState:
         added = [tuple(sorted((fs - {v}) | set(replacement))) for v in face]
         self._update(removed, added)
         self.round += 1
-        self.moves_applied += 1
         move = FlipMove(self.round, face, replacement, tuple(self.f))
         if self.trajectory is not None:
             self.trajectory.append(move)
@@ -188,20 +193,10 @@ class FlipState:
             yield items[a]
 
     def to_complex(self) -> SimplicialComplex:
-        return SimplicialComplex(sorted(self.facets))
+        return SimplicialComplex(self.facets)
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(self.f)
-
-
-def reached_simplex_boundary(K: SimplicialComplex) -> bool:
-    """True iff the complex is the full boundary of a (d+1)-simplex."""
-    d = K.dim
-    facets = set(K.facets)
-    verts = set(K.vertices)
-    if len(verts) != d + 2 or len(facets) != d + 2:
-        return False
-    return facets == {tuple(sorted(c)) for c in combinations(sorted(verts), d + 1)}
 
 
 def default_heat_weights(d: int) -> tuple[int, ...]:
@@ -293,7 +288,7 @@ def bistellar_simplify(
     state = FlipState(K, Rng(seed), record_trajectory=True)
 
     best_f = state.f_vector()
-    best_facets = frozenset(state.facets)
+    best_facets = state.facets[:]
     best_len = 0
     stalled = 0  # local minima hit without improving the best f-vector
     heating_left = 0
@@ -314,23 +309,22 @@ def bistellar_simplify(
             continue
         if state.f_vector() < best_f:
             best_f = state.f_vector()
-            best_facets = frozenset(state.facets)
-            best_len = state.moves_applied
+            best_facets = state.facets[:]
+            best_len = state.round
             stalled = 0
 
     if state.f_vector() < best_f:
         best_f = state.f_vector()
-        best_facets = frozenset(state.facets)
-        best_len = state.moves_applied
+        best_facets = state.facets[:]
+        best_len = state.round
 
     moves = tuple(state.trajectory)
-    dropped = state.moves_applied - len(moves)
+    dropped = state.round - len(moves)
     kept = moves[: max(0, best_len - dropped)]
-    best = SimplicialComplex(sorted(best_facets))
     return SimplifyResult(
-        complex=best,
+        complex=SimplicialComplex(best_facets),
         trajectory=kept,
-        reached_simplex_boundary=reached_simplex_boundary(best),
+        reached_simplex_boundary=best_f[0] == best_f[-1] == K.dim + 2,
         rounds=state.round,
         best_f=best_f,
         replayable=dropped == 0,

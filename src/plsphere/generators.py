@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .complex_core import SimplicialComplex
-from .errors import InvalidSpec
+from .complex_core import SimplicialComplex, check_capacity
+from .errors import ImproperMove, InvalidSpec
+from .flips import FlipState
+from .rng import Rng
 
 #: the 6-vertex real projective plane, by its 10 triangles
 RP2_6_FACETS = (
@@ -18,6 +20,7 @@ def simplex(d: int) -> SimplicialComplex:
     """The solid d-simplex on vertices 0..d."""
     if d < 0:
         raise InvalidSpec("simplex dimension must be >= 0")
+    check_capacity(d + 1)
     return SimplicialComplex([tuple(range(d + 1))])
 
 
@@ -25,6 +28,7 @@ def boundary_of_simplex(d: int) -> SimplicialComplex:
     """Boundary of the d-simplex: all d-subsets of {0..d}, a (d-1)-sphere."""
     if d < 1:
         raise InvalidSpec("boundary needs d >= 1")
+    check_capacity((d + 1) * d)  # vertex entries, before any is built
     return SimplicialComplex(list(combinations(range(d + 1), d)))
 
 
@@ -129,10 +133,6 @@ def perturbed_sphere(
     stellar subdivisions of random facets, then ``one_moves`` random proper
     1-moves, then ``mixed_rounds`` random proper 1- and 2-moves.
     """
-    from .errors import ImproperMove
-    from .flips import FlipState  # local import to avoid a cycle
-    from .rng import Rng
-
     if d < 2:
         raise InvalidSpec("perturbed sphere needs d >= 2")
     state = FlipState(boundary_of_simplex(d + 1), Rng(seed))

@@ -75,7 +75,7 @@ def random_discrete_morse(
     rng = Rng(seed)
     faces = H.faces
     alive = bytearray(b"\x01") * H.n_nodes()
-    up_count = H.up_degrees()
+    up_count = list(map(len, H.up))
     matching_nodes: list[tuple[int, int]] = []
     critical_nodes: list[int] = []
     if strategy is Strategy.RANDOM_RANDOM:
@@ -244,7 +244,7 @@ def verify_acyclic_matching(H: HasseDiagram, result: MorseResult) -> bool:
     for low_face, high_face in result.matching:
         lo = H.locate(low_face)
         hi = H.locate(high_face)
-        if lo is None or hi is None or lo not in H.down_neighbors(hi):
+        if lo is None or hi is None or lo not in H.down[hi]:
             raise InconsistentMatching(f"pair {low_face} < {high_face} is not an incidence")
         if lo in matched_up:
             raise InconsistentMatching(f"face {low_face} matched twice")
@@ -257,7 +257,7 @@ def verify_acyclic_matching(H: HasseDiagram, result: MorseResult) -> bool:
         indeg.update((nd, 0) for nd in hi_rng)
         out: dict[int, list[int]] = {nd: [] for nd in indeg}
         for tau in hi_rng:
-            for sigma in H.down_neighbors(tau):
+            for sigma in H.down[tau]:
                 if matched_up.get(sigma) == tau:
                     out[sigma].append(tau)
                     indeg[tau] += 1

@@ -1,5 +1,9 @@
 import json
+import os
+import resource
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -164,8 +168,36 @@ def test_capacity_exit_70_before_enumerating(capsys):
     assert err.startswith("plsphere: capacity exceeded")
 
 
+def _limit_address_space():
+    # if a refusal is missing, the build ends in a MemoryError, not in the
+    # host's out-of-memory killer
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "sd:1:simplex:10"),  # 11! chains
+        ("check", "simplex:40"),  # 2^41 - 1 faces
+        ("homology", "simplex:40"),
+        ("generate", "bd_simplex:99999"),  # 10^5 facets of 99999 vertices
+        ("flips", "bd_simplex:30"),  # a star for each of 2^31 - 2 faces
+    ],
+)
+def test_capacity_exit_70_in_a_fresh_process(argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "plsphere", *argv],
+        capture_output=True, text=True, env=env, timeout=10,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 70, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("plsphere: capacity exceeded: face capacity exceeded")
+
+
 def test_memory_error_exit_70(capsys, monkeypatch):
-    def exhausted(spec, capacity=None):
+    def exhausted(spec):
         raise MemoryError
 
     monkeypatch.setattr(cli, "resolve_complex", exhausted)

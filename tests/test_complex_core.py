@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import all_faces, chain_count, euler_naive, f_vector_naive, link_naive
-from plsphere import generators
+from plsphere import complex_core, generators
 from plsphere.complex_core import SimplicialComplex, build_hasse
 from plsphere.errors import (
     CapacityExceeded,
@@ -108,13 +108,16 @@ def test_barycentric_subdivision_counts_match_chain_oracle(small_corpus):
         assert sd.euler_characteristic() == K.euler_characteristic(), name
 
 
-def test_barycentric_capacity():
-    K = generators.boundary_of_simplex(4)
-    with pytest.raises(CapacityExceeded):
-        K.barycentric_subdivision(capacity=10)
+def test_barycentric_capacity(monkeypatch):
     # 2047 faces fit, but the 11! maximal chains of the 10-simplex do not
-    with pytest.raises(CapacityExceeded):
-        generators.simplex(10).barycentric_subdivision(capacity=10**6)
+    with pytest.raises(CapacityExceeded) as exc:
+        generators.simplex(10).barycentric_subdivision()
+    assert exc.value.needed == 39916800
+    K = generators.boundary_of_simplex(4)
+    monkeypatch.setattr(complex_core, "DEFAULT_CAPACITY", 10)
+    with pytest.raises(CapacityExceeded) as exc:
+        K.barycentric_subdivision()
+    assert exc.value.needed == 120  # 5 facets, 4! chains each
 
 
 def test_hasse_levels_and_degrees(small_corpus):
@@ -127,7 +130,7 @@ def test_hasse_levels_and_degrees(small_corpus):
         # each k-face has exactly k+1 down-neighbors
         for k in range(1, K.dim + 1):
             for node in H.level_range(k):
-                downs = H.down_neighbors(node)
+                downs = H.down[node]
                 assert len(downs) == k + 1
                 face = H.faces[node]
                 for dn in downs:
@@ -139,12 +142,16 @@ def test_hasse_up_down_consistency():
     H = build_hasse(K)
     for node in range(H.n_nodes()):
         for up in H.up[node]:
-            assert node in H.down_neighbors(up)
+            assert node in H.down[up]
 
 
-def test_hasse_capacity():
-    with pytest.raises(CapacityExceeded):
-        build_hasse(generators.boundary_of_simplex(4), capacity=5)
+def test_hasse_capacity(monkeypatch):
+    K = generators.boundary_of_simplex(4)
+    with monkeypatch.context() as m:
+        m.setattr(complex_core, "DEFAULT_CAPACITY", 5)
+        with pytest.raises(CapacityExceeded) as exc:
+            build_hasse(K)
+    assert exc.value.needed == 75  # 5 facets, 2^4 - 1 faces each
     # one 40-simplex has 2^41 - 1 faces: refused before any is enumerated
     K = generators.simplex(40)
     with pytest.raises(CapacityExceeded) as exc:

@@ -10,7 +10,6 @@ from plsphere.flips import (
     FlipState,
     bistellar_simplify,
     default_heat_weights,
-    reached_simplex_boundary,
     replay,
     trajectory_tsv,
 )
@@ -113,7 +112,7 @@ def test_incremental_index_matches_scratch_after_moves():
             _assert_index_matches_scratch(state)
             if i % 3 == 0:
                 state.apply_flip(move.replacement)
-                assert state.facets == before
+                assert set(state.facets) == before
                 _assert_index_matches_scratch(state)
 
 
@@ -133,11 +132,23 @@ def test_flips_preserve_invariants():
     assert homology(state.to_complex()).report_dict() == base
 
 
+def test_facets_are_the_top_candidates():
+    state = FlipState(generators.boundary_of_simplex(4), Rng(2))
+    for _ in range(20):
+        state.random_move(move_dim=0)
+        assert state.facets is state.candidates[state.d]
+        assert state.facets == sorted(set(state.facets))
+        assert state.to_complex().facets == tuple(state.facets)
+
+
 def test_reached_simplex_boundary():
-    assert reached_simplex_boundary(generators.boundary_of_simplex(5))
+    def reached(K):
+        return bistellar_simplify(K, max_rounds=0).reached_simplex_boundary
+
+    assert reached(generators.boundary_of_simplex(5))
     octa = generators.suspension(generators.suspension(generators.boundary_of_simplex(1)))
-    assert not reached_simplex_boundary(octa)
-    assert not reached_simplex_boundary(generators.suspension(generators.boundary_of_simplex(2)))
+    assert not reached(octa)
+    assert not reached(generators.suspension(generators.boundary_of_simplex(2)))
 
 
 def test_default_heat_weights():
@@ -175,6 +186,18 @@ def test_simplify_never_worse_and_euler_constant():
     chi = K.euler_characteristic()
     for move in res.trajectory:
         assert sum((-1) ** k * c for k, c in enumerate(move.f_after)) == chi
+
+
+def test_simplify_best_complex_before_the_last_move():
+    # the best f-vector comes after 38 of 80 moves: the result is the
+    # snapshot taken then, not the final state
+    K = generators.perturbed_sphere(3, 8, 30, 5, seed=4)
+    res = bistellar_simplify(K, seed=1, max_rounds=80)
+    assert res.rounds == 80
+    assert len(res.trajectory) == 38
+    assert res.best_f == (8, 24, 32, 16)
+    assert res.complex.f_vector() == res.best_f
+    assert replay(K, res.trajectory) == res.complex
 
 
 def test_simplify_deterministic():
