@@ -1,12 +1,17 @@
 """Bistellar flips and simulated-annealing simplification.
 
-The flip kernel works on a face -> containing-facets index instead of a
-full face lattice.  A flip updates that index once, for the faces of the
-facets it removes and adds, and keeps the flippable faces of each dimension
-in a sorted list.  A facet lies in one facet, itself, so the flippable
-d-faces ``candidates[d]`` are the facets: no separate facet set is kept.
-A move pays for the star it replaces, the options it tries and one copy of
-a candidate list, but sorts nothing.
+The flip kernel keeps the cofacet count of every face, not the facets
+around it.  A flip at a face F with replacement R swaps the facets
+F | (R - r), r in R, for the facets (F - v) | R, v in F.  A face S inside
+F | R lies in |R - S| of the removed facets and in |F - S| of the added
+ones, so its count changes by |F - S| - |R - S|; no other face changes.
+A flip therefore walks the subsets of F | R once, with no per-facet
+subface enumeration, and each count that crosses d-k+1 moves its k-face
+into or out of the sorted list of flippable faces.  A facet lies in one
+facet, itself, so the flippable d-faces ``candidates[d]`` are the facets:
+no separate facet set is kept.  Link vertices come from the 1-skeleton
+neighbour sets and are cached per face; a flip changes the link of S only
+if S lies inside F | R, so it drops those cache entries and no others.
 ``bistellar_simplify`` anneals toward the lexicographically smallest
 f-vector, alternating cooling (f-reducing flips) with bounded heating bursts
 when progress stalls.
@@ -17,7 +22,8 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import chain, combinations
 
 from .complex_core import Face, SimplicialComplex, check_capacity
 from .errors import ImproperMove, InvalidSpec, NotPseudomanifold, StaleOption
@@ -36,15 +42,38 @@ class FlipMove:
     f_after: tuple[int, ...]
 
 
-class FlipState:
-    """Mutable pseudomanifold under bistellar flips.
+def _proper_subsets(U: Face):
+    """The non-empty proper subsets of U, by size, in ``combinations`` order."""
+    return chain.from_iterable(combinations(U, s) for s in range(1, len(U)))
 
-    Maintains the star of each face (the set of facets containing it, so
-    ``len(star[face])`` is its cofacet count), the f-vector, and per
-    dimension i the sorted list ``candidates[i]`` of the flippable faces,
-    those in exactly d-i+1 facets.  ``candidates[d]`` is the facet list.
-    A star is kept for every face, so the input's face bound is checked
-    against the face budget first.
+
+@lru_cache(maxsize=None)
+def _count_deltas(in_face: tuple[bool, ...]) -> tuple[int, ...]:
+    """|F - S| - |R - S| for each subset S of ``_proper_subsets(U)``, where
+    ``in_face`` marks which vertices of the sorted U = F | R lie in F.
+    There are at most 2^(d+2) such patterns per dimension d."""
+    n_face = sum(in_face)
+    n_rep = len(in_face) - n_face
+    return tuple(
+        (n_face - sum(in_face[p] for p in pos)) - (n_rep - sum(not in_face[p] for p in pos))
+        for pos in _proper_subsets(tuple(range(len(in_face))))
+    )
+
+
+class FlipState:
+    """Mutable closed pseudomanifold under bistellar flips.
+
+    Maintains ``count``, the number of facets containing each face (a face
+    is present iff it has a count); ``nbrs``, the neighbour set of each
+    vertex in the 1-skeleton; the f-vector; and per dimension i the sorted
+    list ``candidates[i]`` of the flippable faces, those in exactly d-i+1
+    facets.  ``candidates[d]`` is the facet list.  A flip at F with
+    replacement R changes the count of a face S inside F | R by
+    |F - S| - |R - S| and leaves every other count alone.  The link
+    vertices of a face are cached; a flip drops the cache entry of every
+    non-empty proper subset of F | R, the only faces whose link it can
+    change.  A count is kept for every face, so the input's face bound is
+    checked against the face budget first.
     """
 
     def __init__(self, K: SimplicialComplex, rng: Rng, record_trajectory: bool = False):
@@ -54,15 +83,30 @@ class FlipState:
             raise NotPseudomanifold(f"ridge {witness[0]} lies in {witness[1]} facets")
         self.d = K.dim
         self.rng = rng
-        self.star: dict[Face, set[Face]] = {}
-        self.f = [0] * (self.d + 1)
-        self.candidates: list[list[Face]] = [[] for _ in range(self.d + 1)]
+        self.count: dict[Face, int] = {}
+        self.nbrs: dict[int, set[int]] = {}
+        self._links: dict[Face, Face] = {}
         self.max_label = max(K.vertices)
         self.round = 0
         self.trajectory: deque[FlipMove] | None = (
             deque(maxlen=TRAJECTORY_BUFFER) if record_trajectory else None
         )
-        self._update((), K.facets)
+        count = self.count
+        for g in K.facets:
+            for sub in _proper_subsets(g):
+                count[sub] = count.get(sub, 0) + 1
+            count[g] = 1
+        self.f = [0] * (self.d + 1)
+        self.candidates: list[list[Face]] = [[] for _ in range(self.d + 1)]
+        for sub, c in count.items():
+            k = len(sub) - 1
+            self.f[k] += 1
+            if c == self.d - k + 1:
+                self.candidates[k].append(sub)
+            if k == 1:
+                self._add_edge(*sub)
+        for cands in self.candidates:
+            cands.sort()
 
     @property
     def facets(self) -> list[Face]:
@@ -71,54 +115,80 @@ class FlipState:
 
     # -- incremental index maintenance ----------------------------------
 
-    def _update(self, removed, added) -> None:
-        """Replace the facets ``removed`` by ``added``.
+    def _add_edge(self, a: int, b: int) -> None:
+        self.nbrs.setdefault(a, set()).add(b)
+        self.nbrs.setdefault(b, set()).add(a)
 
-        The stars change first; then every face of a touched facet is
-        recounted once against its cofacet count from before, which updates
-        the f-vector and the candidate lists.
+    def _remove_edge(self, a: int, b: int) -> None:
+        # a vertex of a closed pseudomanifold of dimension >= 1 has a
+        # neighbour, so a vertex whose last edge goes is gone too
+        for u, v in ((a, b), (b, a)):
+            around = self.nbrs[u]
+            around.discard(v)
+            if not around:
+                del self.nbrs[u]
+
+    def _flip_counts(self, face: Face, replacement: Face) -> None:
+        """Swap the star of ``face`` for the facets around ``replacement``.
+
+        Every non-empty proper subset S of U = face | replacement loses its
+        cached link, and its count moves by |face - S| - |replacement - S|,
+        which updates the f-vector, the candidate lists and, for edges, the
+        neighbour sets.
         """
-        star = self.star
-        before: dict[Face, int] = {}
-        for g in removed:
-            for s in range(1, len(g) + 1):
-                for sub in combinations(g, s):
-                    cof = star[sub]
-                    if sub not in before:
-                        before[sub] = len(cof)
-                    cof.remove(g)
-        for g in added:
-            for s in range(1, len(g) + 1):
-                for sub in combinations(g, s):
-                    cof = star.get(sub)
-                    if cof is None:
-                        cof = star[sub] = set()
-                    if sub not in before:
-                        before[sub] = len(cof)
-                    cof.add(g)
-        for sub, old in before.items():
-            new = len(star[sub])
-            if new == old:
+        U = tuple(sorted(face + replacement))
+        fs = set(face)
+        deltas = _count_deltas(tuple(v in fs for v in U))
+        count, links, f, candidates = self.count, self._links, self.f, self.candidates
+        d2 = self.d + 2
+        for sub, delta in zip(_proper_subsets(U), deltas):
+            links.pop(sub, None)
+            if not delta:
                 continue
-            k = len(sub) - 1
-            if not new:
-                del star[sub]
-                self.f[k] -= 1
-            elif not old:
-                self.f[k] += 1
-            target = self.d - k + 1  # cofacet count that makes the face flippable
+            old = count.get(sub, 0)
+            new = old + delta
+            n = len(sub)
+            if new:
+                count[sub] = new
+            else:
+                del count[sub]
+                f[n - 1] -= 1
+                if n == 2:
+                    self._remove_edge(*sub)
+            if not old:
+                f[n - 1] += 1
+                if n == 2:
+                    self._add_edge(*sub)
+            target = d2 - n  # cofacet count that makes a face of n vertices flippable
             if old == target:
-                cands = self.candidates[k]
+                cands = candidates[n - 1]
                 del cands[bisect_left(cands, sub)]
             elif new == target:
-                insort(self.candidates[k], sub)
+                insort(candidates[n - 1], sub)
 
     # -- option enumeration ----------------------------------------------
 
     def replacement_of(self, face: Face) -> Face:
-        """Link vertices of a flippable face (empty tuple for a facet)."""
-        rest = {v for cof in self.star.get(face, ()) for v in cof}
-        return tuple(sorted(rest.difference(face)))
+        """Link vertices of a face: the v with face | {v} a face (the empty
+        tuple for a facet or a non-face)."""
+        rep = self._links.get(face)
+        if rep is None:
+            rep = self._links[face] = self._link_vertices(face)
+        return rep
+
+    def _link_vertices(self, face: Face) -> Face:
+        i = len(face) - 1
+        if i == self.d or face not in self.count:
+            return ()
+        nbrs = self.nbrs
+        common = nbrs[face[0]].intersection(*[nbrs[v] for v in face[1:]])
+        # the link of an i-face of a closed pseudomanifold is a closed
+        # (d-i-1)-pseudomanifold, with at least d-i+1 vertices: a common
+        # neighbour set of that size is the link
+        if i and len(common) > self.d - i + 1:
+            count = self.count
+            common = [v for v in common if tuple(sorted(face + (v,))) in count]
+        return tuple(sorted(common))
 
     def options_at(self, dim: int) -> list[Face]:
         """Flippable faces of the given dimension, in sorted order, as a copy
@@ -128,15 +198,14 @@ class FlipState:
     def is_proper(self, face: Face) -> bool:
         """A flip is proper when it does not re-introduce an existing face."""
         i = len(face) - 1
-        cof = self.star.get(face)
-        if cof is None or len(cof) != self.d - i + 1:
+        if self.count.get(face) != self.d - i + 1:
             raise StaleOption(f"{face} is not in exactly {self.d - i + 1} facets")
         if i == self.d:
             return True  # stellar subdivision brings a genuinely new vertex
         rep = self.replacement_of(face)
         if len(rep) != self.d - i + 1:
             return False  # star is not a flip bipyramid
-        return rep not in self.star
+        return rep not in self.count
 
     # -- applying moves ----------------------------------------------------
 
@@ -154,18 +223,13 @@ class FlipState:
             if replacement is None:
                 replacement = (self.max_label + 1,)
             self.max_label = max(self.max_label, replacement[0])
-            removed = [face]
         else:
             actual = self.replacement_of(face)
             if replacement is None:
                 replacement = actual
             elif replacement != actual:
                 raise StaleOption(f"recorded replacement {replacement} no longer matches {actual}")
-            rs = set(replacement)
-            removed = [tuple(sorted(set(face) | (rs - {r}))) for r in replacement]
-        fs = set(face)
-        added = [tuple(sorted((fs - {v}) | set(replacement))) for v in face]
-        self._update(removed, added)
+        self._flip_counts(face, replacement)
         self.round += 1
         move = FlipMove(self.round, face, replacement, tuple(self.f))
         if self.trajectory is not None:

@@ -48,20 +48,6 @@ class SparseIntMatrix:
         M.col_rows = [set(s) for s in self.col_rows]
         return M
 
-    def multiply(self, other: "SparseIntMatrix") -> "SparseIntMatrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        out = SparseIntMatrix(self.nrows, other.ncols)
-        for r, row in enumerate(self.rows):
-            acc: dict[int, int] = {}
-            for k, v in row.items():
-                for c, w in other.rows[k].items():
-                    acc[c] = acc.get(c, 0) + v * w
-            for c, v in acc.items():
-                if v:
-                    out.set(r, c, v)
-        return out
-
 
 @dataclass(frozen=True)
 class SmithNormalForm:

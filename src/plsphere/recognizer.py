@@ -9,8 +9,9 @@ Euler characteristic is 2, for d = 2.  For d >= 3 it runs, in order: random
 discrete Morse searches (a spherical vector certifies YES), integral homology
 (a non-spherical answer certifies NO), a bounded fundamental-group triviality
 test (YES off dimension 4, where only the topological type follows), and
-bistellar simplification toward the boundary of a simplex.  Every YES or NO
-carries a replayable certificate; anything else is reported UNDECIDED.
+bistellar simplification toward the boundary of a simplex (YES only when the
+whole move trajectory was kept).  Every YES or NO carries a replayable
+certificate; anything else is reported UNDECIDED.
 
 :func:`is_combinatorial_manifold` establishes the second fact.  The link of
 an i-face F has dimension d - i - 1, and the link of a face G inside it is
@@ -179,10 +180,17 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
 
     if cfg.flip_rounds > 0:
         result = bistellar_simplify(K, seed=cfg.seed, max_rounds=cfg.flip_rounds)
-        if result.reached_simplex_boundary:
+        if result.reached_simplex_boundary and result.replayable:
             log.append(f"flips: reached the simplex boundary after {result.rounds} rounds")
             return Verdict(Answer.YES, Certificate("flip_path", result), log)
-        log.append(f"flips: best f-vector {result.best_f} after {result.rounds} rounds")
+        if result.reached_simplex_boundary:
+            # the trajectory buffer dropped the first moves: no certificate
+            log.append(
+                f"flips: reached the simplex boundary after {result.rounds} rounds, "
+                "but the trajectory is not replayable"
+            )
+        else:
+            log.append(f"flips: best f-vector {result.best_f} after {result.rounds} rounds")
 
     return Verdict(Answer.UNDECIDED, None, log)
 

@@ -114,6 +114,19 @@ def rank_over_q(mat):
     return rank
 
 
+def sparse_product(a, b):
+    """The nonzero entries {(row, col): value} of the product of two
+    ``SparseIntMatrix``es, from the row dictionaries."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch")
+    out = {}
+    for r, row in enumerate(a.rows):
+        for k, v in row.items():
+            for c, w in b.rows[k].items():
+                out[r, c] = out.get((r, c), 0) + v * w
+    return {rc: v for rc, v in out.items() if v}
+
+
 def rank_mod_p_naive(mat, p):
     """Rank over the prime field GF(p) by plain Gaussian elimination on a
     dense copy; inverses by Fermat's little theorem."""

@@ -16,13 +16,13 @@ from plsphere.flips import (
 from plsphere.rng import Rng
 
 
-def _fresh_star(facets):
-    star = {}
+def _fresh_counts(facets):
+    count = {}
     for f in facets:
         for r in range(1, len(f) + 1):
             for sub in combinations(f, r):
-                star.setdefault(sub, set()).add(f)
-    return star
+                count[sub] = count.get(sub, 0) + 1
+    return count
 
 
 def test_raw_options_boundary_of_simplex_3():
@@ -86,15 +86,25 @@ def test_improper_and_stale_errors():
 
 
 def _assert_index_matches_scratch(state):
-    star = _fresh_star(state.facets)
-    assert star == state.star
+    count = _fresh_counts(state.facets)
+    assert state.count == count
+    nbrs = {}
+    for a, b in (f for f in count if len(f) == 2):
+        nbrs.setdefault(a, set()).add(b)
+        nbrs.setdefault(b, set()).add(a)
+    assert state.nbrs == nbrs
     d = state.d
     for k in range(d + 1):
-        faces = [f for f in star if len(f) == k + 1]
-        flippable = sorted(f for f in faces if len(star[f]) == d - k + 1)
+        faces = [f for f in count if len(f) == k + 1]
+        flippable = sorted(f for f in faces if count[f] == d - k + 1)
         assert state.candidates[k] == sorted(state.candidates[k])
         assert state.candidates[k] == flippable
         assert state.f[k] == len(faces)
+    # every face, cached or not, against link vertices read off the facets
+    for face in count:
+        link = {v for g in state.facets if set(face) <= set(g) for v in g}
+        expected = () if len(face) == d + 1 else tuple(sorted(link - set(face)))
+        assert state.replacement_of(face) == expected, face
 
 
 def test_incremental_index_matches_scratch_after_moves():

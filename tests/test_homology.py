@@ -8,6 +8,7 @@ from _oracles import (
     minors_gcd_divisors,
     rank_mod_p_naive,
     rank_over_q,
+    sparse_product,
 )
 from plsphere import generators
 from plsphere.errors import DimensionOutOfRange
@@ -58,8 +59,8 @@ def test_boundary_matrix_shape_and_range():
 def test_boundary_of_boundary_is_zero(small_corpus):
     for name, K in small_corpus.items():
         for k in range(2, K.dim + 1):
-            prod = boundary_matrix(K, k).multiply(boundary_matrix(K, k - 1))
-            assert prod.nnz() == 0, (name, k)
+            prod = sparse_product(boundary_matrix(K, k), boundary_matrix(K, k - 1))
+            assert not prod, (name, k)
 
 
 def test_boundary_matrix_matches_oracle(small_corpus):

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import is_sphere_small_dim_naive
-from plsphere import generators, recognizer
+from plsphere import flips, generators, recognizer
 from plsphere.complex_core import SimplicialComplex
 from plsphere.errors import PrereqFailed
 from plsphere.morse import Strategy
@@ -267,6 +267,19 @@ def test_flip_path_yes():
     assert v.certificate.kind == "flip_path"
     assert v.certificate.payload.reached_simplex_boundary
     assert "pi1: inconclusive at budget" in v.log
+    assert v.certificate.payload.replayable
+
+
+def test_no_flip_path_yes_without_a_replayable_trajectory(monkeypatch):
+    # a buffer of 3 moves drops the start of the path to the simplex boundary
+    monkeypatch.setattr(flips, "TRAJECTORY_BUFFER", 3)
+    cfg = RecognitionConfig(morse_rounds=0, pi1_budget=1, flip_rounds=10**4)
+    K = generators.perturbed_sphere(3, 6, 20, 0, seed=12)
+    v = recognize_sphere(K, cfg)
+    assert v.answer is Answer.UNDECIDED
+    assert v.certificate is None
+    assert v.log[-1].startswith("flips: reached the simplex boundary after ")
+    assert v.log[-1].endswith(" rounds, but the trajectory is not replayable")
 
 
 def test_undecided_when_all_tests_disabled():
