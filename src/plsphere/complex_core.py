@@ -39,7 +39,7 @@ class SimplicialComplex:
     labels are arbitrary non-negative integers and preserved as given.
     """
 
-    __slots__ = ("facets", "dim", "_faces_by_dim", "_vertices", "_vertex_star")
+    __slots__ = ("facets", "dim", "_faces_by_dim", "_vertices", "_vertex_star", "_hasse")
 
     def __init__(self, facets):
         # internal constructor: facets assumed canonical & maximal
@@ -48,6 +48,7 @@ class SimplicialComplex:
         self._faces_by_dim = None
         self._vertices = None
         self._vertex_star = None
+        self._hasse = None
 
     @classmethod
     def from_facets(cls, facet_lists) -> "SimplicialComplex":
@@ -107,6 +108,12 @@ class SimplicialComplex:
         if k < 0 or k > self.dim:
             return []
         return self.faces_by_dim()[k]
+
+    def hasse(self) -> "HasseDiagram":
+        """The Hasse diagram, built by :func:`build_hasse` on first use."""
+        if self._hasse is None:
+            self._hasse = build_hasse(self)
+        return self._hasse
 
     def num_faces(self) -> int:
         return sum(len(level) for level in self.faces_by_dim())
@@ -237,17 +244,13 @@ class HasseDiagram:
     algorithms keep private alive-flag / coface-count arrays per run.
     """
 
-    __slots__ = ("dim", "faces", "level_start", "up", "down", "locator")
+    __slots__ = ("dim", "faces", "level_start", "up", "down")
 
     def level_range(self, k: int) -> range:
         return range(self.level_start[k], self.level_start[k + 1])
 
     def n_nodes(self) -> int:
         return len(self.faces)
-
-    def locate(self, face):
-        """Node id of ``face``, or None if it is not a face of the complex."""
-        return self.locator.get(tuple(sorted(face)))
 
 
 def build_hasse(K: SimplicialComplex) -> HasseDiagram:
@@ -259,21 +262,20 @@ def build_hasse(K: SimplicialComplex) -> HasseDiagram:
     H.dim = K.dim
     faces: list[Face] = []
     level_start = [0]
-    locator: dict = {}
+    index: dict = {}
     for level in levels:
         for f in level:
-            locator[f] = len(faces)
+            index[f] = len(faces)
             faces.append(f)
         level_start.append(len(faces))
     H.faces = faces
     H.level_start = level_start
-    H.locator = locator
 
-    # node ids are the locator's own int objects, shared by every tuple
+    # node ids are the index's own int objects, shared by every tuple
     down: list[tuple] = []
     up: list = [[] for _ in range(total)]
-    node_of = locator.__getitem__
-    for f, node in locator.items():
+    node_of = index.__getitem__
+    for f, node in index.items():
         subs = tuple(map(node_of, combinations(f, len(f) - 1))) if len(f) > 1 else ()
         down.append(subs)
         for sub in subs:

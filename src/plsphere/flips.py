@@ -24,6 +24,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations
+from math import isfinite
 
 from .complex_core import Face, SimplicialComplex, check_capacity
 from .errors import ImproperMove, InvalidSpec, NotPseudomanifold, StaleOption
@@ -342,7 +343,14 @@ def bistellar_simplify(
     """
     if K.dim < 2:
         raise NotPseudomanifold("simplification needs dimension >= 2")
+    if max_rounds < 0:
+        raise InvalidSpec(f"flip rounds must be >= 0, not {max_rounds}")
     schedule = schedule or AnnealingSchedule()
+    coefficients = (schedule.alpha, schedule.beta, schedule.gamma)
+    if not all(isfinite(x) and x >= 0 for x in coefficients):
+        raise InvalidSpec(
+            f"annealing alpha, beta, gamma {coefficients}: each must be finite and >= 0"
+        )
     weights = schedule.heat_weights or default_heat_weights(K.dim)
     # weight k picks k-moves, which act on faces of dimension d - k >= 0
     if len(weights) > K.dim + 1 or min(weights) < 0 or sum(weights) == 0:

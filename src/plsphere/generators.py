@@ -90,6 +90,7 @@ def saw_blade(k: int) -> SimplicialComplex:
     """
     if k < 1:
         raise InvalidSpec("saw blade needs k >= 1")
+    check_capacity(7 * (7 * k - 2))  # 7k - 2 triangles for k >= 3, 7 faces each
     word, spans, n_cycle = _saw_blade_word_and_spans(k)
     m = len(word)
     r = len(spans)
@@ -135,7 +136,11 @@ def perturbed_sphere(
     """
     if d < 2:
         raise InvalidSpec("perturbed sphere needs d >= 2")
-    state = FlipState(boundary_of_simplex(d + 1), Rng(seed))
+    start = boundary_of_simplex(d + 1)
+    # each move adds at most d facets, each with 2^(d+1) - 1 faces
+    moves = sum(max(0, n) for n in (add_vertices, one_moves, mixed_rounds))
+    check_capacity((d + 2 + d * moves) * (2 ** (d + 1) - 1))
+    state = FlipState(start, Rng(seed))
 
     def move(k: int) -> None:
         # when the 1-skeleton saturates, no proper 1-move remains; a

@@ -4,14 +4,15 @@ Boundary matrices are kept sparse (dict-of-dict rows plus column indexes).
 One elimination serves Z and GF(p): it walks the rows once, in index
 order, and pivots each row on its unit entry in the column with the fewest
 rows.  Over Z the usually tiny residual of rows without a +-1 entry is
-finished with the classical Euclidean Smith normal form over
-arbitrary-precision integers.
+brought to a diagonal form by least-magnitude pivots over
+arbitrary-precision integers, and the diagonal is put in divisibility
+order by gcd/lcm pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 
 from .complex_core import SimplicialComplex
 from .errors import DimensionOutOfRange, InvalidSpec
@@ -123,90 +124,55 @@ def _eliminate(M: SparseIntMatrix, p: int = 0) -> int:
     return pivots
 
 
-def _dense_snf(mat: list[list[int]]) -> list[int]:
-    """Classical Euclidean Smith normal form of a small dense matrix."""
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    divisors = []
-    t = 0
+def _diagonal(mat: list[list[int]]) -> list[int]:
+    """The non-zero diagonal of a Smith normal form of the dense ``mat``.
+
+    A least-magnitude non-zero entry is the pivot; its column is reduced in
+    the other rows, then its row in the other columns.  When both are
+    clear, |pivot| is recorded and its row and column are dropped; else a
+    remainder, smaller than the pivot, is the next pivot, so the loop ends.
+    Since Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b), one pairwise pass then
+    puts the diagonal in divisibility order.
+    """
+    d = []
     while True:
-        # locate a nonzero entry of minimal magnitude in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = mat[i][j]
-                if v and (best is None or abs(v) < abs(mat[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+        live = [(abs(v), i, j) for i, row in enumerate(mat) for j, v in enumerate(row) if v]
+        if not live:
             break
-        bi, bj = best
-        mat[t], mat[bi] = mat[bi], mat[t]
+        _, i, j = min(live)
+        prow = mat[i]
+        p = prow[j]
         for row in mat:
-            row[t], row[bj] = row[bj], row[t]
-        while True:
-            # clear column t
-            dirty = False
-            for i in range(t + 1, m):
-                if mat[i][t]:
-                    q = mat[i][t] // mat[t][t]
-                    for j in range(t, n):
-                        mat[i][j] -= q * mat[t][j]
-                    if mat[i][t]:
-                        mat[t], mat[i] = mat[i], mat[t]
-                        dirty = True
-            if dirty:
-                continue
-            # clear row t
-            for j in range(t + 1, n):
-                if mat[t][j]:
-                    q = mat[t][j] // mat[t][t]
-                    for i in range(t, m):
-                        mat[i][j] -= q * mat[i][t]
-                    if mat[t][j]:
-                        for i in range(t, m):
-                            mat[i][t], mat[i][j] = mat[i][j], mat[i][t]
-                        dirty = True
-            if dirty:
-                continue
-            # enforce divisibility of the trailing block
-            culprit = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if mat[i][j] % mat[t][t]:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
-            if culprit is None:
-                break
-            for j in range(t, n):
-                mat[t][j] += mat[culprit][j]
-        divisors.append(abs(mat[t][t]))
-        t += 1
-        if t == m or t == n:
-            # the trailing block may still hold nonzeros only if t hit a
-            # border; by construction it is empty then
-            break
-    return divisors
+            if row is not prow and row[j]:
+                q = row[j] // p
+                for k, v in enumerate(prow):
+                    row[k] -= q * v
+        for k, v in enumerate(prow):
+            if k != j and v:
+                q = v // p
+                for row in mat:
+                    row[k] -= q * row[j]
+        if any(prow[:j] + prow[j + 1:]) or sum(1 for row in mat if row[j]) > 1:
+            continue
+        d.append(abs(p))
+        del mat[i]
+        for row in mat:
+            del row[j]
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
 
 
 def smith_normal_form(M: SparseIntMatrix) -> SmithNormalForm:
-    """Elementary divisors of M (unit pivots, then Euclidean SNF)."""
+    """Elementary divisors of M: unit pivots, then the diagonal of the rest."""
     W = M.copy()
     units = _eliminate(W)
-    # densify the (typically tiny) residual
-    live_rows = [r for r, row in enumerate(W.rows) if row]
-    live_cols = sorted({c for r in live_rows for c in W.rows[r]})
-    col_map = {c: j for j, c in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in live_rows]
-    for i, r in enumerate(live_rows):
-        for c, v in W.rows[r].items():
-            dense[i][col_map[c]] = v
-    residual = _dense_snf(dense) if dense else []
-    # unit pivots divide everything; the Euclidean part is already a chain
-    divisors = [1] * (units + sum(1 for d in residual if d == 1))
-    divisors += [d for d in residual if d > 1]
-    return SmithNormalForm(tuple(divisors))
+    live = [row for row in W.rows if row]
+    cols = sorted({c for row in live for c in row})
+    rest = _diagonal([[row.get(c, 0) for c in cols] for row in live])
+    return SmithNormalForm((1,) * units + tuple(rest))
 
 
 def rank_mod_p(M: SparseIntMatrix, p: int) -> int:

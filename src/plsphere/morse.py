@@ -8,13 +8,14 @@ flags and coface counts.
 
 A run depends only on (K, strategy, seed), so ``morse_spectrum`` splits its
 seeds into contiguous blocks, one per CPU, up to ``MAX_WORKERS``.  The
-parent builds the Hasse diagram once and forks a child per block after the
-first, which inherits K and the diagram without pickling.  The parent runs
-the first block itself; each child sends back only its vectors, as text
-lines over a pipe.  The parent reads the blocks in seed order, so the
-spectrum is the same for any number of workers.  It forks nothing where
-fork is missing or unsafe: on macOS, and while the calling process runs
-more than one thread.
+parent has K build its Hasse diagram, then forks a child per block after
+the first, which inherits K and the diagram without pickling.  The parent
+runs the first block itself.  Each block counts its distinct vectors in
+order of first appearance, and each child sends back that count table, one
+text line per vector, over a pipe.  The parent adds the tables in seed
+order, so the spectrum is the same for any number of workers.  It forks
+nothing where fork is missing or unsafe: on macOS, and while the calling
+process runs more than one thread.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
-from .complex_core import Face, HasseDiagram, SimplicialComplex, build_hasse
+from .complex_core import Face, HasseDiagram, SimplicialComplex
 from .errors import InconsistentMatching, PLSphereError
 from .rng import Rng
 
@@ -60,18 +61,10 @@ def is_collapsible_witness(vector: tuple[int, ...]) -> bool:
     return vector[0] == 1 and not any(vector[1:])
 
 
-def random_discrete_morse(
-    K: SimplicialComplex,
-    strategy: Strategy,
-    seed: int,
-    hasse: HasseDiagram | None = None,
-) -> MorseResult:
+def random_discrete_morse(K: SimplicialComplex, strategy: Strategy, seed: int) -> MorseResult:
     """One randomized collapse run; deterministic given (K, strategy, seed).
-
-    ``hasse`` may be a prebuilt diagram of K to amortize construction over
-    many runs.
-    """
-    H = hasse if hasse is not None else build_hasse(K)
+    The Hasse diagram is K's own, built on the first run."""
+    H = K.hasse()
     rng = Rng(seed)
     faces = H.faces
     alive = bytearray(b"\x01") * H.n_nodes()
@@ -240,10 +233,11 @@ def verify_acyclic_matching(H: HasseDiagram, result: MorseResult) -> bool:
     levels, so each level pair is checked independently by Kahn's
     algorithm.
     """
+    node_of = {f: nd for nd, f in enumerate(H.faces)}
     matched_up: dict[int, int] = {}
     for low_face, high_face in result.matching:
-        lo = H.locate(low_face)
-        hi = H.locate(high_face)
+        lo = node_of.get(tuple(sorted(low_face)))
+        hi = node_of.get(tuple(sorted(high_face)))
         if lo is None or hi is None or lo not in H.down[hi]:
             raise InconsistentMatching(f"pair {low_face} < {high_face} is not an incidence")
         if lo in matched_up:
@@ -296,24 +290,21 @@ class SpectrumResult:
 
 
 def morse_spectrum(
-    K: SimplicialComplex,
-    strategy: Strategy,
-    rounds: int,
-    seed: int,
-    hasse: HasseDiagram | None = None,
+    K: SimplicialComplex, strategy: Strategy, rounds: int, seed: int
 ) -> SpectrumResult:
     """Run seeds seed, seed+1, ... and aggregate identical Morse vectors.
 
     The seeds are split into ``w = _worker_count(rounds)`` contiguous
     blocks; block i holds seeds ``seed + rounds*i//w`` to ``seed +
     rounds*(i+1)//w - 1``.  The parent runs block 0 and forks one child per
-    other block.  Every vector is checked against the Morse-Euler identity
-    and counted in seed order, so ``counts`` and its order do not depend on
-    ``w``.  ``elapsed`` is wall time.
+    other block.  The blocks' count tables are added in seed order, so
+    ``counts`` and its order (of first appearance) do not depend on ``w``;
+    every distinct vector is checked against the Morse-Euler identity.
+    ``elapsed`` is wall time.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
-    H = hasse if hasse is not None else build_hasse(K)
+    K.hasse()  # built once here, inherited by every child
     chi = K.euler_characteristic()
     w = _worker_count(rounds)
     cut = [seed + rounds * i // w for i in range(w + 1)]
@@ -321,8 +312,8 @@ def morse_spectrum(
     children: list[tuple[int, int]] = []  # (pid, read end), blocks 1..w-1
     try:
         for i in range(1, w):
-            children.append(_fork_block(K, strategy, H, cut[i], cut[i + 1]))
-        blocks = [_run_block(K, strategy, H, cut[0], cut[1])]
+            children.append(_fork_block(K, strategy, cut[i], cut[i + 1]))
+        blocks = [_run_block(K, strategy, cut[0], cut[1])]
         for _, fd in children:
             blocks.append(_read_block(fd))
     except BaseException:
@@ -345,10 +336,11 @@ def morse_spectrum(
             )
     counts: dict[tuple[int, ...], int] = {}
     for block in blocks:
-        for v in block:
-            if sum((-1) ** k * c for k, c in enumerate(v)) != chi:
-                raise AssertionError(f"Morse-Euler identity violated: {v} vs chi={chi}")
-            counts[v] = counts.get(v, 0) + 1
+        for v, n in block.items():
+            counts[v] = counts.get(v, 0) + n
+    for v in counts:
+        if sum((-1) ** k * c for k, c in enumerate(v)) != chi:
+            raise AssertionError(f"Morse-Euler identity violated: {v} vs chi={chi}")
     elapsed = time.perf_counter() - t0
     return SpectrumResult(counts=counts, strategy=strategy, seed=seed, rounds=rounds, elapsed=elapsed)
 
@@ -379,17 +371,21 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_block(K, strategy, H, first, stop) -> list[tuple[int, ...]]:
-    """The vectors of seeds first..stop-1, in seed order.  Looked up as a
-    module attribute, so a wrapped or patched run function is the one
-    called."""
-    return [random_discrete_morse(K, strategy, s, hasse=H).vector for s in range(first, stop)]
+def _run_block(K, strategy, first, stop) -> dict[tuple[int, ...], int]:
+    """The count of each vector of seeds first..stop-1, in order of first
+    appearance.  The run function is looked up as a module attribute, so a
+    wrapped or patched one is the one called."""
+    counts: dict[tuple[int, ...], int] = {}
+    for s in range(first, stop):
+        v = random_discrete_morse(K, strategy, s).vector
+        counts[v] = counts.get(v, 0) + 1
+    return counts
 
 
-def _fork_block(K, strategy, H, first, stop) -> tuple[int, int]:
+def _fork_block(K, strategy, first, stop) -> tuple[int, int]:
     """Fork a child that runs seeds first..stop-1 and writes one line
-    ``c0,c1,...`` per vector to a pipe; return its pid and the read end.
-    The child exits non-zero if its block raises."""
+    ``c0,c1,... n`` per distinct vector and its count to a pipe; return its
+    pid and the read end.  The child exits non-zero if its block raises."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -401,9 +397,9 @@ def _fork_block(K, strategy, H, first, stop) -> tuple[int, int]:
         status = 1
         try:
             os.close(r)
-            vectors = _run_block(K, strategy, H, first, stop)
+            counts = _run_block(K, strategy, first, stop)
             with open(w, "w") as out:
-                out.write("".join(",".join(map(str, v)) + "\n" for v in vectors))
+                out.write("".join(f"{','.join(map(str, v))} {n}\n" for v, n in counts.items()))
             status = 0
         except Exception:
             sys.excepthook(*sys.exc_info())
@@ -414,12 +410,15 @@ def _fork_block(K, strategy, H, first, stop) -> tuple[int, int]:
     return pid, r
 
 
-def _read_block(fd: int) -> list[tuple[int, ...]]:
+def _read_block(fd: int) -> dict[tuple[int, ...], int]:
     chunks = []
     while chunk := os.read(fd, 1 << 16):
         chunks.append(chunk)
-    text = b"".join(chunks).decode()
-    return [tuple(map(int, line.split(","))) for line in text.splitlines()]
+    counts = {}
+    for line in b"".join(chunks).decode().splitlines():
+        v, n = line.split(" ")
+        counts[tuple(map(int, v.split(",")))] = int(n)
+    return counts
 
 
 def format_vector(v: tuple[int, ...]) -> str:

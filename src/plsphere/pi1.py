@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .complex_core import SimplicialComplex
-from .errors import DimensionOutOfRange, NotConnected
+from .errors import DimensionOutOfRange, InvalidSpec, NotConnected
 from .homology import SparseIntMatrix, smith_normal_form
 from .rng import Rng
 
@@ -199,6 +199,8 @@ def tietze_simplify(
     length-reducing subword replacement, to a fixpoint or until the budget
     is spent.  The resulting presentation is of an isomorphic group.
     """
+    if effort_limit <= 0:
+        raise InvalidSpec(f"the Tietze budget must be positive, not {effort_limit}")
     relators = [free_reduce(w) for w in P.relators]
     dropped: set[int] = set()  # generators keep their labels until the end
     trace = TietzeTrace()

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .complex_core import Face, SimplicialComplex, build_hasse
+from .complex_core import Face, SimplicialComplex
 from .errors import NotPure, PrereqFailed
 from .flips import bistellar_simplify
 from .homology import homology
@@ -150,9 +150,8 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
     log: list[str] = []
 
     if cfg.morse_rounds > 0:
-        H = build_hasse(K)
         for r in range(cfg.morse_rounds):
-            res = random_discrete_morse(K, cfg.strategy, seed=cfg.seed + r, hasse=H)
+            res = random_discrete_morse(K, cfg.strategy, seed=cfg.seed + r)
             if is_spherical(res.vector):
                 log.append(f"morse: spherical vector in round {r + 1}")
                 return Verdict(Answer.YES, Certificate("spherical_morse", res), log)

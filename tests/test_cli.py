@@ -182,6 +182,8 @@ def _limit_address_space():
         ("homology", "simplex:40"),
         ("generate", "bd_simplex:99999"),  # 10^5 facets of 99999 vertices
         ("flips", "bd_simplex:30"),  # a star for each of 2^31 - 2 faces
+        ("check", "saw_blade:99999999"),  # 7k - 2 triangles
+        ("check", "perturbed_sphere:3:100000000:0:0:0"),  # 3 facets per new vertex
     ],
 )
 def test_capacity_exit_70_in_a_fresh_process(argv):
@@ -266,6 +268,27 @@ def test_bad_heat_dist_exit_65(capsys, weights):
     assert code == 65
     assert out == ""
     assert err.startswith("plsphere: heat weights")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("flips", "--cool-threshold-alpha", "inf"), "annealing alpha, beta, gamma"),
+        (("flips", "--cool-threshold-alpha", "nan"), "annealing alpha, beta, gamma"),
+        (("flips", "--cool-threshold-beta", "-1"), "annealing alpha, beta, gamma"),
+        (("flips", "--heat-gamma=-inf"), "annealing alpha, beta, gamma"),
+        (("flips", "--rounds", "-3"), "flip rounds must be >= 0"),
+        (("pi1", "--budget", "0"), "the Tietze budget must be positive"),
+        (("pi1", "--budget", "-5"), "the Tietze budget must be positive"),
+    ],
+)
+def test_bad_rounds_budget_and_schedule_exit_65(capsys, argv, message):
+    # the same limits recognize refuses through --flip-rounds and --pi1-budget
+    command, *options = argv
+    code, out, err = run(capsys, command, "perturbed_sphere:3:20:200:0:7", *options)
+    assert code == 65
+    assert out == ""
+    assert err.startswith(f"plsphere: {message}")
 
 
 def test_seed_echoed(capsys):

@@ -3,9 +3,8 @@ import os
 import pytest
 
 from _oracles import betti_over_q
-from plsphere import generators, morse
+from plsphere import complex_core, generators, morse
 from plsphere.cli import resolve_complex
-from plsphere.complex_core import build_hasse
 from plsphere.errors import InconsistentMatching, PLSphereError
 from plsphere.morse import (
     MorseResult,
@@ -66,8 +65,8 @@ def test_weak_morse_inequalities(small_corpus):
 
 def test_matching_verifies_and_tampering_detected():
     K = generators.boundary_of_simplex(4)
-    H = build_hasse(K)
-    res = random_discrete_morse(K, Strategy.RANDOM_RANDOM, seed=2, hasse=H)
+    H = K.hasse()
+    res = random_discrete_morse(K, Strategy.RANDOM_RANDOM, seed=2)
     assert verify_acyclic_matching(H, res)
 
     # a pair between non-incident faces must be rejected
@@ -85,10 +84,10 @@ def test_matching_verifies_and_tampering_detected():
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_matching_is_acyclic_and_partitions_the_faces(small_corpus, strategy):
     for name, K in small_corpus.items():
-        H = build_hasse(K)
+        H = K.hasse()
         faces = [f for level in K.faces_by_dim() for f in level]
         for seed in range(5):
-            res = random_discrete_morse(K, strategy, seed=seed, hasse=H)
+            res = random_discrete_morse(K, strategy, seed=seed)
             assert verify_acyclic_matching(H, res), (name, seed)
             covered = [f for pair in res.matching for f in pair] + res.critical
             assert sorted(covered) == sorted(faces), (name, seed)
@@ -96,8 +95,8 @@ def test_matching_is_acyclic_and_partitions_the_faces(small_corpus, strategy):
 
 def test_duplicated_pair_rejected():
     K = generators.boundary_of_simplex(3)
-    H = build_hasse(K)
-    res = random_discrete_morse(K, Strategy.RANDOM_RANDOM, seed=0, hasse=H)
+    H = K.hasse()
+    res = random_discrete_morse(K, Strategy.RANDOM_RANDOM, seed=0)
     pair = res.matching[0]
     bogus = MorseResult(
         vector=res.vector,
@@ -192,12 +191,11 @@ def test_spectrum_is_independent_of_the_worker_count(monkeypatch, small_corpus, 
     complexes = dict(small_corpus, sd1_bd4=resolve_complex("sd:1:bd_simplex:4"))
     rounds = 7
     for name, K in complexes.items():
-        H = build_hasse(K)
         _use_workers(monkeypatch, 1)
-        serial = morse_spectrum(K, strategy, rounds, seed=11, hasse=H)
+        serial = morse_spectrum(K, strategy, rounds, seed=11)
         for workers in (2, 3, rounds + 5):
             _use_workers(monkeypatch, workers)
-            res = morse_spectrum(K, strategy, rounds, seed=11, hasse=H)
+            res = morse_spectrum(K, strategy, rounds, seed=11)
             assert list(res.counts.items()) == list(serial.counts.items()), (name, workers)
             assert spectrum_tsv(res, include_runtime=False) == spectrum_tsv(
                 serial, include_runtime=False
@@ -208,7 +206,7 @@ def test_spectrum_is_independent_of_the_worker_count(monkeypatch, small_corpus, 
 def test_spectrum_merges_blocks_in_seed_order(monkeypatch, workers):
     # real runs on small complexes mostly repeat one vector, so a stand-in
     # run with a new vector every third seed pins the order of ``counts``
-    def run(K, strategy, seed, hasse=None):
+    def run(K, strategy, seed):
         k = (seed - 40) // 3
         return MorseResult((1 + k, k, 0), [], [], seed, strategy)
 
@@ -221,6 +219,59 @@ def test_spectrum_merges_blocks_in_seed_order(monkeypatch, workers):
     expected[(7, 6, 0)] = 2
     assert list(res.counts.items()) == list(expected.items())
     assert len(forks) == min(20, workers) - 1
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 4])
+def test_spectrum_blocks_send_count_tables(monkeypatch, workers):
+    # three distinct vectors over 3000 seeds: (3,2,0) first appears in the
+    # last third, so the merged order is the order of first appearance
+    def run(K, strategy, seed):
+        k = 2 if seed >= 2040 else seed % 2
+        return MorseResult((1 + k, k, 0), [], [], seed, strategy)
+
+    tables = []
+
+    def recorded(fn):
+        def wrapper(*args):
+            table = fn(*args)
+            tables.append(table)
+            return table
+
+        return wrapper
+
+    monkeypatch.setattr(morse, "random_discrete_morse", run)
+    monkeypatch.setattr(morse, "_run_block", recorded(morse._run_block))
+    monkeypatch.setattr(morse, "_read_block", recorded(morse._read_block))
+    _use_workers(monkeypatch, workers)
+    res = morse_spectrum(generators.simplex(2), Strategy.RANDOM_RANDOM, rounds=3000, seed=40)
+    assert len(tables) == workers
+    assert all(len(table) <= 3 for table in tables)
+    assert list(res.counts.items()) == [((1, 0, 0), 1000), ((2, 1, 0), 1000), ((3, 2, 0), 1000)]
+
+
+def test_hasse_diagram_is_built_once_before_the_first_fork(monkeypatch):
+    builds = []
+    real_build = complex_core.build_hasse
+
+    def build(K):
+        builds.append(K)
+        return real_build(K)
+
+    seen_at_fork = []
+    real_fork_block = morse._fork_block
+
+    def fork_block(K, *args):
+        seen_at_fork.append(len(builds))
+        return real_fork_block(K, *args)
+
+    monkeypatch.setattr(complex_core, "build_hasse", build)
+    monkeypatch.setattr(morse, "_fork_block", fork_block)
+    _use_workers(monkeypatch, 3)
+    K = generators.rp2_6()
+    morse_spectrum(K, Strategy.RANDOM_RANDOM, rounds=12, seed=0)
+    assert seen_at_fork == [1, 1]
+    assert builds == [K]
+    assert K.hasse() is K.hasse()
 
 
 def test_spectrum_default_workers_match_serial(monkeypatch):
