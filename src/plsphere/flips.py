@@ -19,6 +19,7 @@ when progress stalls.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
@@ -279,7 +280,12 @@ def default_heat_weights(d: int) -> tuple[int, ...]:
 @dataclass
 class AnnealingSchedule:
     """threshold = alpha * (#facets) + beta rounds without improvement
-    triggers a heating burst of gamma * threshold rounds."""
+    triggers a heating burst of gamma * threshold rounds.
+
+    Both counts are capped at ``sys.maxsize``: huge finite coefficients
+    overflow a float to infinity, and the round budget ends the run long
+    before any count that large runs out.
+    """
 
     alpha: float = 0.1
     beta: float = 10.0
@@ -287,10 +293,10 @@ class AnnealingSchedule:
     heat_weights: tuple[int, ...] | None = None
 
     def threshold(self, n_facets: int) -> int:
-        return max(1, int(self.alpha * n_facets + self.beta))
+        return max(1, int(min(self.alpha * n_facets + self.beta, sys.maxsize)))
 
     def heating_amount(self, n_facets: int) -> int:
-        return max(1, int(self.gamma * self.threshold(n_facets)))
+        return max(1, int(min(self.gamma * self.threshold(n_facets), sys.maxsize)))
 
 
 @dataclass

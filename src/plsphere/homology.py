@@ -7,6 +7,19 @@ rows.  Over Z the usually tiny residual of rows without a +-1 entry is
 brought to a diagonal form by least-magnitude pivots over
 arbitrary-precision integers, and the diagonal is put in divisibility
 order by gcd/lcm pairs.
+
+``homology`` reduces the boundary maps from the top dimension down and
+builds each map only on the faces the map above has not *cleared*.  A unit
+pivot of the map on (k+1)-faces sits in the column of a k-face sigma, and
+its row, at pivot time, is an integer combination of boundaries: a k-cycle
+with a +-1 at sigma and no entry at the columns pivoted before.  Applying
+the k-th map to that cycle gives 0, so the row of sigma in the k-th map is
+an integer combination of the rows of faces that are not earlier pivot
+columns.  Taken from the last pivot back to the first, every pivot row is
+an integer combination of the rows never pivoted on, so dropping them all
+keeps the row lattice, and with it the rank and the elementary divisors.
+Only unit pivots clear a row: a pivot of the dense step is not invertible
+over Z.  Over GF(p) every pivot is a unit.
 """
 
 from __future__ import annotations
@@ -62,37 +75,45 @@ class SmithNormalForm:
         return tuple(d for d in self.divisors if d > 1)
 
 
-def boundary_matrix(K: SimplicialComplex, k: int) -> SparseIntMatrix:
+def boundary_matrix(K: SimplicialComplex, k: int, *, _cleared=()) -> SparseIntMatrix:
     """The k-th boundary operator: rows are k-faces, columns (k-1)-faces.
 
     Entry for (sigma, sigma minus its i-th smallest vertex) is (-1)**i.
+    ``homology`` passes in ``_cleared`` the indexes of the k-faces whose
+    rows it leaves out; the other rows keep their order.
     """
     if k < 1 or k > K.dim:
         raise DimensionOutOfRange(f"k={k} outside 1..{K.dim}")
     hi = K.faces(k)
+    if _cleared:
+        hi = [face for r, face in enumerate(hi) if r not in _cleared]
     lo_index = {f: i for i, f in enumerate(K.faces(k - 1))}
     M = SparseIntMatrix(len(hi), len(lo_index))
+    col_rows = M.col_rows
     for r, face in enumerate(hi):
+        row = M.rows[r]
         sign = 1
         for i in range(len(face)):
-            sub = face[:i] + face[i + 1:]
-            M.set(r, lo_index[sub], sign)
+            c = lo_index[face[:i] + face[i + 1:]]
+            row[c] = sign
+            col_rows[c].add(r)
             sign = -sign
     return M
 
 
-def _eliminate(M: SparseIntMatrix, p: int = 0) -> int:
-    """Pivot each row of M once, in index order; returns the pivot count.
+def _eliminate(M: SparseIntMatrix, p: int = 0) -> list[int]:
+    """Pivot each row of M once, in index order; returns the pivot columns.
 
     Over Z (``p == 0``) a row's units are its entries +1 and -1; over GF(p)
-    (entries already reduced mod p) every entry is a unit.  A row with a
-    unit is pivoted on the unit whose column has the fewest rows: that
-    column is cleared from the other rows, and the row itself is retired,
-    since column operations that touch only it clear the rest.  Over Z a
-    row without a unit at its turn is left for the dense step.
+    (entries non-zero mod p, not necessarily reduced) every entry is a
+    unit.  A row with a unit is pivoted on the unit whose column has the
+    fewest rows: that column is cleared from the other rows, and the row
+    itself is retired, since column operations that touch only it clear
+    the rest.  Over Z a row without a unit at its turn is left for the
+    dense step.
     """
     rows, col_rows = M.rows, M.col_rows
-    pivots = 0
+    pivots = []
     for r, prow in enumerate(rows):
         units = [c for c, v in prow.items() if p or v in (1, -1)]
         if not units:
@@ -120,7 +141,7 @@ def _eliminate(M: SparseIntMatrix, p: int = 0) -> int:
             col_rows[k].discard(r)
         col_rows[c].clear()
         rows[r] = {}
-        pivots += 1
+        pivots.append(c)
     return pivots
 
 
@@ -165,14 +186,18 @@ def _diagonal(mat: list[list[int]]) -> list[int]:
     return d
 
 
+def _residual(W: SparseIntMatrix) -> list[int]:
+    """The diagonal of the rows ``_eliminate`` left over Z, made dense."""
+    live = [row for row in W.rows if row]
+    cols = sorted({c for row in live for c in row})
+    return _diagonal([[row.get(c, 0) for c in cols] for row in live])
+
+
 def smith_normal_form(M: SparseIntMatrix) -> SmithNormalForm:
     """Elementary divisors of M: unit pivots, then the diagonal of the rest."""
     W = M.copy()
-    units = _eliminate(W)
-    live = [row for row in W.rows if row]
-    cols = sorted({c for row in live for c in row})
-    rest = _diagonal([[row.get(c, 0) for c in cols] for row in live])
-    return SmithNormalForm((1,) * units + tuple(rest))
+    units = len(_eliminate(W))
+    return SmithNormalForm((1,) * units + tuple(_residual(W)))
 
 
 def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
@@ -181,7 +206,7 @@ def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
     for r, row in enumerate(M.rows):
         for c, v in row.items():
             W.set(r, c, v % p)
-    return _eliminate(W, p)
+    return len(_eliminate(W, p))
 
 
 #: GF(p) coefficients are limited to primes below this bound, so the
@@ -271,16 +296,20 @@ def homology(K: SimplicialComplex, coefficients="Z", reduced: bool = False) -> H
     f = K.f_vector()
     torsion: list[tuple[int, ...]] = [() for _ in range(d + 1)]
     if coefficients in ("Z", "Q"):
-        snfs = {k: smith_normal_form(boundary_matrix(K, k)) for k in range(1, d + 1)}
-        ranks = {k: snf.rank for k, snf in snfs.items()}
-        label = coefficients
-        if coefficients == "Z":
-            for k in range(d):
-                torsion[k] = tuple(sorted(q for t in snfs[k + 1].torsion() for q in _prime_powers(t)))
+        p, label = 0, coefficients
     else:
         p = _prime(coefficients)
-        ranks = {k: rank_mod_p(boundary_matrix(K, k), p) for k in range(1, d + 1)}
         label = f"GF({p})"
+    ranks = {}
+    cleared: set[int] = set()
+    for k in range(d, 0, -1):
+        # entries +-1 are non-zero mod every p, so GF(p) needs no reduction
+        M = boundary_matrix(K, k, _cleared=cleared)
+        cleared = set(_eliminate(M, p))
+        rest = [] if p else _residual(M)
+        ranks[k] = len(cleared) + len(rest)
+        if coefficients == "Z":
+            torsion[k - 1] = tuple(sorted(q for t in rest if t > 1 for q in _prime_powers(t)))
     betti = [f[k] - ranks.get(k, 0) - ranks.get(k + 1, 0) for k in range(d + 1)]
     if reduced:
         betti[0] -= 1

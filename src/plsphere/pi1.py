@@ -198,10 +198,27 @@ def tietze_simplify(
     generator occurring exactly once in some relator, and greedy
     length-reducing subword replacement, to a fixpoint or until the budget
     is spent.  The resulting presentation is of an isomorphic group.
+
+    The budget counts operations: 1 per round; each relator scanned for a
+    generator to eliminate costs its length; an elimination costs the total
+    relator length after its rewrite; each subword attempt costs the product
+    of the two lengths.  A step whose charge overruns the budget is not
+    applied.  An elimination rewrites only the relators that hold the
+    generator, found through an index from each generator to its relators;
+    the charge is the same as rewriting them all.
     """
     if effort_limit <= 0:
         raise InvalidSpec(f"the Tietze budget must be positive, not {effort_limit}")
-    relators = [free_reduce(w) for w in P.relators]
+    # relators by their index in P; the dict keeps their order, since a
+    # relator is only ever dropped or replaced where it stands
+    rel = {i: free_reduce(w) for i, w in enumerate(P.relators)}
+    # generator -> ids of the relators that hold it
+    occ: dict[int, set[int]] = {g: set() for g in range(1, P.generators + 1)}
+    for i, w in rel.items():
+        for x in w:
+            occ[abs(x)].add(i)
+    total = sum(map(len, rel.values()))
+    empty = [i for i, w in rel.items() if not w]
     dropped: set[int] = set()  # generators keep their labels until the end
     trace = TietzeTrace()
 
@@ -212,71 +229,90 @@ def tietze_simplify(
             return False
         return True
 
+    def replace(i: int, u: Word) -> None:
+        nonlocal total
+        w = rel[i]
+        total += len(u) - len(w)
+        before, after = {abs(x) for x in w}, {abs(x) for x in u}
+        for g in before - after:
+            occ[g].discard(i)
+        for g in after - before:
+            occ[g].add(i)
+        rel[i] = u
+        if not u:
+            empty.append(i)
+
     changed = True
     while changed and not trace.budget_exhausted:
         changed = False
 
-        kept = [w for w in relators if w]
-        if len(kept) != len(relators):
-            trace.empty_deletions += len(relators) - len(kept)
-            relators = kept
+        if empty:
+            trace.empty_deletions += len(empty)
+            for i in empty:
+                del rel[i]
+            empty.clear()
             changed = True
         if not spend():
             break
 
         # eliminate a generator that occurs exactly once in some relator
-        eliminated = False
-        for ri, w in enumerate(relators):
+        found = None
+        for ri, w in rel.items():
             if not spend(len(w)):
                 break
             counts: dict[int, int] = {}
             for x in w:
                 counts[abs(x)] = counts.get(abs(x), 0) + 1
             single = [g for g, c in counts.items() if c == 1]
-            if not single:
-                continue
-            g = min(single)
+            if single:
+                found = ri, w, min(single)
+                break
+        if found is not None:
+            ri, w, g = found
             i = next(j for j, x in enumerate(w) if abs(x) == g)
             # rotate so the single occurrence leads, then solve for g
             rot = w[i:] + w[:i]
             repl = _invert(rot[1:]) if rot[0] > 0 else rot[1:]
-            rest = []
+            rewritten = {}
             cancelled = 0
-            for u in relators[:ri] + relators[ri + 1:]:
-                if g in u or -g in u:
-                    raw = _substitute(u, g, repl)
-                    u = free_reduce(raw)
-                    cancelled += (len(raw) - len(u)) // 2
-                rest.append(u)
-            if not spend(sum(len(u) for u in rest)):
+            charge = total - len(w)
+            for j in sorted(occ[g] - {ri}):
+                raw = _substitute(rel[j], g, repl)
+                u = rewritten[j] = free_reduce(raw)
+                cancelled += (len(raw) - len(u)) // 2
+                charge += len(u) - len(rel[j])
+            if not spend(charge):
                 break
-            relators = rest
+            for x in w:
+                occ[abs(x)].discard(ri)
+            del rel[ri]
+            total -= len(w)
+            for j, u in rewritten.items():
+                replace(j, u)
+            del occ[g]
             trace.free_reductions += cancelled
             dropped.add(g)
             trace.generators_eliminated += 1
-            eliminated = True
             changed = True
-            break
-        if eliminated or trace.budget_exhausted:
             continue
+        if trace.budget_exhausted:
+            break
 
         # greedy length-reducing subword replacement
-        order = sorted(range(len(relators)), key=lambda i: len(relators[i]))
+        order = sorted(rel, key=lambda i: len(rel[i]))
         for si in order:
-            short = relators[si]
+            short = rel[si]
             if not short:
                 continue
-            for li in range(len(relators)):
-                if li == si:
-                    continue
-                long = relators[li]
-                if len(long) < len(short):
+            for li, long in rel.items():
+                if li == si or len(long) < len(short):
                     continue
                 if not spend(len(long) * len(short)):
                     break
-                found = _try_subword(long, short)
-                if found is not None:
-                    relators[li], cancelled = found
+                shorter = _try_subword(long, short)
+                if shorter is not None:
+                    u, cancelled = shorter
+                    replace(li, u)
                     trace.free_reductions += cancelled
                     trace.subword_replacements += 1
                     changed = True
@@ -286,7 +322,7 @@ def tietze_simplify(
     # number the surviving generators 1, 2, ... in their original order
     labels = [g for g in range(1, P.generators + 1) if g not in dropped]
     new = {g: i for i, g in enumerate(labels, 1)}
-    relators = tuple(tuple(new[x] if x > 0 else -new[-x] for x in w) for w in relators if w)
+    relators = tuple(tuple(new[x] if x > 0 else -new[-x] for x in w) for w in rel.values() if w)
     return GroupPresentation(len(labels), relators), trace
 
 

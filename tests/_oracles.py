@@ -1,13 +1,32 @@
 """Independent brute-force reference implementations used only by tests.
 
-Everything here is written from first principles (definitions, not the
-library's algorithms) so that test expectations are genuinely independent
-of the code under test.
+Everything but the last section is written from first principles
+(definitions, not the library's algorithms) so that test expectations are
+genuinely independent of the code under test.  The last section keeps the
+library's earlier homology and Tietze kernels, whose outputs the current
+ones must repeat exactly.
 """
 
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+
+from plsphere.homology import (
+    HomologyGroups,
+    _prime,
+    _prime_powers,
+    boundary_matrix,
+    rank_mod_p,
+    smith_normal_form,
+)
+from plsphere.pi1 import (
+    GroupPresentation,
+    TietzeTrace,
+    _invert,
+    _substitute,
+    _try_subword,
+    free_reduce,
+)
 
 
 def all_faces(facets):
@@ -219,3 +238,125 @@ def is_sphere_small_dim_naive(facets):
         and _is_connected(vertices, edges)
         and euler_naive(facets) == 2
     )
+
+
+# -- the invariant kernels as they were before clearing and the occurrence
+# index.  These are the library's earlier algorithms, not first principles:
+# the faster kernels must give exactly their invariants, presentations and
+# Tietze traces.
+
+
+def homology_full(K, coefficients="Z", reduced=False):
+    """Homology from every row of every boundary map: the Smith normal form
+    of each whole map over Z and Q, its rank over GF(p)."""
+    d = K.dim
+    f = K.f_vector()
+    torsion = [() for _ in range(d + 1)]
+    if coefficients in ("Z", "Q"):
+        snfs = {k: smith_normal_form(boundary_matrix(K, k)) for k in range(1, d + 1)}
+        ranks = {k: snf.rank for k, snf in snfs.items()}
+        label = coefficients
+        if coefficients == "Z":
+            for k in range(d):
+                torsion[k] = tuple(sorted(q for t in snfs[k + 1].torsion() for q in _prime_powers(t)))
+    else:
+        p = _prime(coefficients)
+        ranks = {k: rank_mod_p(boundary_matrix(K, k), p) for k in range(1, d + 1)}
+        label = f"GF({p})"
+    betti = [f[k] - ranks.get(k, 0) - ranks.get(k + 1, 0) for k in range(d + 1)]
+    if reduced:
+        betti[0] -= 1
+    return HomologyGroups(tuple(betti), tuple(torsion), reduced, label)
+
+
+def tietze_simplify_list(P, effort_limit):
+    """``tietze_simplify`` on a plain relator list that every elimination
+    rewrites whole.  Returns the presentation, the trace, and the step whose
+    charge ran out of budget ("round", "scan", "eliminate", "subword") or
+    None."""
+    relators = [free_reduce(w) for w in P.relators]
+    dropped = set()
+    trace = TietzeTrace()
+    phase = None
+
+    def spend(n, step):
+        nonlocal phase
+        trace.operations += n
+        if trace.operations > effort_limit:
+            trace.budget_exhausted = True
+            phase = step
+            return False
+        return True
+
+    changed = True
+    while changed and not trace.budget_exhausted:
+        changed = False
+
+        kept = [w for w in relators if w]
+        if len(kept) != len(relators):
+            trace.empty_deletions += len(relators) - len(kept)
+            relators = kept
+            changed = True
+        if not spend(1, "round"):
+            break
+
+        eliminated = False
+        for ri, w in enumerate(relators):
+            if not spend(len(w), "scan"):
+                break
+            counts = {}
+            for x in w:
+                counts[abs(x)] = counts.get(abs(x), 0) + 1
+            single = [g for g, c in counts.items() if c == 1]
+            if not single:
+                continue
+            g = min(single)
+            i = next(j for j, x in enumerate(w) if abs(x) == g)
+            rot = w[i:] + w[:i]
+            repl = _invert(rot[1:]) if rot[0] > 0 else rot[1:]
+            rest = []
+            cancelled = 0
+            for u in relators[:ri] + relators[ri + 1:]:
+                if g in u or -g in u:
+                    raw = _substitute(u, g, repl)
+                    u = free_reduce(raw)
+                    cancelled += (len(raw) - len(u)) // 2
+                rest.append(u)
+            if not spend(sum(len(u) for u in rest), "eliminate"):
+                break
+            relators = rest
+            trace.free_reductions += cancelled
+            dropped.add(g)
+            trace.generators_eliminated += 1
+            eliminated = True
+            changed = True
+            break
+        if eliminated or trace.budget_exhausted:
+            continue
+
+        order = sorted(range(len(relators)), key=lambda i: len(relators[i]))
+        for si in order:
+            short = relators[si]
+            if not short:
+                continue
+            for li in range(len(relators)):
+                if li == si:
+                    continue
+                long = relators[li]
+                if len(long) < len(short):
+                    continue
+                if not spend(len(long) * len(short), "subword"):
+                    break
+                found = _try_subword(long, short)
+                if found is not None:
+                    relators[li], cancelled = found
+                    trace.free_reductions += cancelled
+                    trace.subword_replacements += 1
+                    changed = True
+            if changed or trace.budget_exhausted:
+                break
+
+    labels = [g for g in range(1, P.generators + 1) if g not in dropped]
+    new = {g: i for i, g in enumerate(labels, 1)}
+    relators = tuple(tuple(new[x] if x > 0 else -new[-x] for x in w) for w in relators if w)
+    return GroupPresentation(len(labels), relators), trace, phase

@@ -291,6 +291,17 @@ def test_bad_rounds_budget_and_schedule_exit_65(capsys, argv, message):
     assert err.startswith(f"plsphere: {message}")
 
 
+@pytest.mark.parametrize("option", ["--heat-gamma", "--cool-threshold-alpha"])
+def test_huge_finite_schedule_coefficient_exit_0(capsys, option):
+    # 1e308 * facets overflows to inf; the counts are capped, not converted
+    code, out, err = run(
+        capsys, "flips", "perturbed_sphere:3:20:200:0:7", option, "1e308", "--rounds", "200"
+    )
+    assert code == 0
+    assert err == ""
+    assert "rounds: " in out
+
+
 def test_seed_echoed(capsys):
     code, out, _ = run(capsys, "morse", "simplex:3", "--seed", "9")
     assert "seed: 9" in out

@@ -1,3 +1,5 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from _oracles import (
     betti_over_q,
     dense_boundary,
+    homology_full,
     minors_gcd_divisors,
     rank_mod_p_naive,
     rank_over_q,
@@ -20,6 +23,9 @@ from plsphere.homology import (
     smith_normal_form,
 )
 from plsphere.rng import Rng
+
+# ``plsphere.homology`` as an attribute of the package is the function
+homology_module = importlib.import_module("plsphere.homology")
 
 
 def _to_sparse(dense):
@@ -197,3 +203,41 @@ def test_universal_coefficients(corpus):
                 b + p_torsion[k] + (p_torsion[k - 1] if k else 0) for k, b in enumerate(z.betti)
             )
             assert homology(K, p).betti == expected, (name, p)
+
+
+def test_homology_matches_full_matrix_oracle(corpus):
+    """Clearing leaves every invariant as reducing each whole map gives."""
+    susp = generators.suspension(generators.rp2_6())
+    for name, K in {**corpus, "susp_rp2_6": susp}.items():
+        for coefficients in ("Z", "Q", 2, 3):
+            assert homology(K, coefficients) == homology_full(K, coefficients), (name, coefficients)
+    assert homology(susp, reduced=True) == homology_full(susp, reduced=True)
+
+
+def test_cleared_rows_are_the_unit_pivots_of_the_map_above(corpus, monkeypatch):
+    built = []
+    real = homology_module.boundary_matrix
+
+    def spy(K, k, *, _cleared=()):
+        M = real(K, k, _cleared=_cleared)
+        built.append((k, set(_cleared), M.copy()))
+        return M
+
+    monkeypatch.setattr(homology_module, "boundary_matrix", spy)
+    dense_steps = 0
+    for name in ("rp2_6", "saw_blade_3", "sd1_bd_simplex_4"):
+        K = corpus[name]
+        for p in (0, 2, 3):
+            built.clear()
+            homology(K, p or "Z")
+            # the maps come top down, and the rows left out of each are the
+            # columns of the unit pivots of the map built before it
+            assert [k for k, _, _ in built] == list(range(K.dim, 0, -1)), name
+            above = set()
+            for k, cleared, M in built:
+                assert cleared == above, (name, p, k)
+                assert M.nrows == K.f_vector()[k] - len(cleared)
+                above = set(homology_module._eliminate(M, p))
+                dense_steps += any(M.rows)
+    # rp2_6 over Z leaves a row without a unit, so a dense pivot was seen
+    assert dense_steps

@@ -1,5 +1,6 @@
 import pytest
 
+from _oracles import tietze_simplify_list
 from plsphere import generators, homology
 from plsphere.complex_core import SimplicialComplex
 from plsphere.errors import DimensionOutOfRange, NotConnected
@@ -13,6 +14,19 @@ from plsphere.pi1 import (
 )
 
 G3 = GroupPresentation(2, ((1, 2, 1, -2, -1, -2), (1, 1, 1, -2, -2)))
+
+#: no generator occurs once in a relator, so simplification starts with
+#: subword moves; they expose three eliminations, which rewrite several
+#: relators and empty one.  Unbounded it costs 581 operations.
+SUBWORD_FIRST = GroupPresentation(
+    3,
+    (
+        (1, 1, 3, 2, -1, 2, 1, 2, -3),
+        (3, 1, 3, 2, -1, 2, 1),
+        (2, 1, -3, 1, -3, 2, -1, -1, -3),
+        (-2, 1, 1, -2, -3, -2, 3),
+    ),
+)
 
 
 def test_free_reduce():
@@ -159,3 +173,22 @@ def test_budget_exhaustion_is_honest():
 def test_export_format():
     P = GroupPresentation(2, ((1, 2, -1, -2),))
     assert P.export_text() == "generators: 2\n1 2 -1 -2\n"
+
+
+def test_tietze_matches_list_oracle_at_every_budget():
+    _, unbounded, _ = tietze_simplify_list(SUBWORD_FIRST, 10**9)
+    assert unbounded.subword_replacements and unbounded.generators_eliminated == 3
+    steps = set()
+    for budget in range(1, unbounded.operations + 2):
+        want, want_trace, step = tietze_simplify_list(SUBWORD_FIRST, budget)
+        assert tietze_simplify(SUBWORD_FIRST, budget) == (want, want_trace), budget
+        steps.add(step)
+    # the budget runs out in each step that charges it, and not at all
+    assert steps == {"round", "scan", "eliminate", "subword", None}
+
+
+@pytest.mark.parametrize("budget", [10**3, 10**4, 10**5])
+def test_tietze_matches_list_oracle_on_sd1_bd5(budget):
+    P = pi1_presentation(generators.boundary_of_simplex(5).barycentric_subdivision(), base_tree_seed=0)
+    want, want_trace, _ = tietze_simplify_list(P, budget)
+    assert tietze_simplify(P, budget) == (want, want_trace)
