@@ -27,7 +27,7 @@ from .morse import (
     random_discrete_morse,
     spectrum_tsv,
 )
-from .pi1 import pi1_presentation, triviality_verdict
+from .pi1 import DEFAULT_BUDGET, pi1_presentation, triviality_verdict
 from .recognizer import RecognitionConfig, recognize
 
 EX_USAGE = 64
@@ -44,17 +44,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def resolve_complex(spec: str) -> SimplicialComplex:
-    """A builtin specifier, or failing that a facet-file path."""
-    head = spec.split(":", 1)[0]
-    if head == "sd":
+    """A builtin specifier or else a facet-file path, under any number of ``sd:k:``."""
+    rounds = 0
+    while spec.split(":", 1)[0] == "sd":
         _, k, rest = spec.split(":", 2)
-        rounds = int(k)
-        if rounds < 0:
+        if int(k) < 0:
             raise InvalidSpec(f"negative subdivision count in {spec!r}")
-        K = resolve_complex(rest)
-        for _ in range(rounds):
-            K = K.barycentric_subdivision()
-        return K
+        rounds += int(k)
+        spec = rest
+    head = spec.split(":", 1)[0]
     if head in generators.GENERATORS:
         build = generators.GENERATORS[head]
         params = [int(p) for p in spec.split(":")[1:]]
@@ -65,8 +63,12 @@ def resolve_complex(spec: str) -> SimplicialComplex:
             raise InvalidSpec(
                 f"{head} takes {len(signature.parameters)} parameter(s), not {len(params)}"
             ) from None
-        return build(*params)
-    return io.read_complex(spec)
+        K = build(*params)
+    else:
+        K = io.read_complex(spec)
+    for _ in range(rounds):
+        K = K.barycentric_subdivision()
+    return K
 
 
 def _emit(report: dict, fmt: str, text: str) -> None:
@@ -172,10 +174,7 @@ def _cmd_flips(args) -> int:
     K = resolve_complex(args.complex)
     heat = tuple(int(x) for x in args.heat_dist.split(",")) if args.heat_dist else None
     schedule = AnnealingSchedule(
-        alpha=args.cool_threshold_alpha,
-        beta=args.cool_threshold_beta,
-        gamma=args.heat_gamma,
-        heat_weights=heat,
+        args.cool_threshold_alpha, args.cool_threshold_beta, args.heat_gamma, heat
     )
     res = bistellar_simplify(K, seed=args.seed, max_rounds=args.rounds, schedule=schedule)
     report = {
@@ -241,14 +240,15 @@ def build_parser() -> _Parser:
         return sp
 
     add("check", _cmd_check, "f-vector and pseudomanifold checks")
+    strategies = [st.value for st in Strategy]
 
     m = add("morse", _cmd_morse, "one random discrete Morse run")
-    m.add_argument("--strategy", choices=[s.value for s in Strategy], default="random-random")
+    m.add_argument("--strategy", choices=strategies, default="random-random")
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--certificate", action="store_true", help="print the acyclic matching")
 
     s = add("spectrum", _cmd_spectrum, "distribution of Morse vectors over many runs")
-    s.add_argument("--strategy", choices=[st.value for st in Strategy], default="random-random")
+    s.add_argument("--strategy", choices=strategies, default="random-random")
     s.add_argument("--rounds", type=int, default=1000)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--no-runtime", action="store_true", help="omit the runtime comment line")
@@ -259,25 +259,28 @@ def build_parser() -> _Parser:
 
     q = add("pi1", _cmd_pi1, "fundamental-group presentation and triviality verdict")
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--budget", type=int, default=10**6)
+    q.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     q.add_argument("--export", action="store_true", help="print the presentation")
 
     f = add("flips", _cmd_flips, "bistellar-flip simplification")
-    f.add_argument("--rounds", type=int, default=10**5)
+    max_rounds = inspect.signature(bistellar_simplify).parameters["max_rounds"].default
+    schedule = AnnealingSchedule()
+    f.add_argument("--rounds", type=int, default=max_rounds)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--cool-threshold-alpha", type=float, default=0.1)
-    f.add_argument("--cool-threshold-beta", type=float, default=10.0)
-    f.add_argument("--heat-gamma", type=float, default=2.0)
+    f.add_argument("--cool-threshold-alpha", type=float, default=schedule.alpha)
+    f.add_argument("--cool-threshold-beta", type=float, default=schedule.beta)
+    f.add_argument("--heat-gamma", type=float, default=schedule.gamma)
     f.add_argument("--heat-dist", help="comma-separated weights by move dimension")
     f.add_argument("--trajectory", help="write the move trajectory TSV here")
     f.add_argument("-o", "--output", help="write the simplified complex here")
 
     r = add("recognize", _cmd_recognize, "decide whether the input is a PL sphere")
-    r.add_argument("--morse-rounds", type=int, default=100)
-    r.add_argument("--flip-rounds", type=int, default=10**6)
-    r.add_argument("--strategy", choices=[st.value for st in Strategy], default="random-random")
-    r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--pi1-budget", type=int, default=10**6)
+    config = RecognitionConfig()
+    r.add_argument("--morse-rounds", type=int, default=config.morse_rounds)
+    r.add_argument("--flip-rounds", type=int, default=config.flip_rounds)
+    r.add_argument("--strategy", choices=strategies, default=config.strategy.value)
+    r.add_argument("--seed", type=int, default=config.seed)
+    r.add_argument("--pi1-budget", type=int, default=config.pi1_budget)
 
     return p
 

@@ -8,7 +8,7 @@ boundary-matrix orientations and the lex collapse strategies.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
 
 from .errors import (
@@ -209,34 +209,31 @@ class SimplicialComplex:
     def barycentric_subdivision(self) -> "SimplicialComplex":
         """Order complex of the face poset.
 
-        New vertex labels are the (dimension, lex) ranks of the old faces;
-        facets are the maximal chains, (d+1)! per d-facet.  Both counts are
-        checked against the face budget before anything is built.
+        New vertex labels are the Hasse node ids, the (dimension, lex) ranks,
+        of the old faces.  The new facets are the maximal chains, (d+1)! per
+        d-facet, walked down ``H.down`` from each facet's node to a node with
+        no down arcs, a vertex; node ids fall along a chain, so a reversed
+        chain is sorted.  The chain count is checked against the face budget
+        before the diagram is built.
         """
         check_capacity(sum(factorial(len(f)) for f in self.facets))
-        rank = {}
-        next_id = 0
-        for level in self.faces_by_dim():
-            for f in level:
-                rank[f] = next_id
-                next_id += 1
+        H = self.hasse()
         new_facets = []
         for facet in self.facets:
-            for order in permutations(facet):
-                chain = []
-                prefix = []
-                for v in order:
-                    prefix.append(v)
-                    chain.append(rank[tuple(sorted(prefix))])
-                new_facets.append(tuple(sorted(chain)))
+            chains = [(H.index[facet],)]
+            while H.down[chains[0][-1]]:  # one facet's chains all have its length
+                chains = [c + (b,) for c in chains for b in H.down[c[-1]]]
+            new_facets.extend(c[::-1] for c in chains)
         return SimplicialComplex(new_facets)
 
 
 class HasseDiagram:
     """Level-structured face poset of a complex, with up/down arcs as tuples.
 
-    Nodes are numbered in (dimension, lex) order; ``level_start[k]`` is the
-    first node of dimension k.  ``down[node]`` is a tuple of the node ids of
+    This is the complex's one face numbering: nodes are numbered in
+    (dimension, lex) order, ``faces[node]`` is the face of a node and
+    ``index[face]`` its node; ``level_start[k]`` is the first node of
+    dimension k.  ``down[node]`` is a tuple of the node ids of
     the k-face's facets in ``combinations(face, k)`` order, so its entry j
     omits vertex k - j; ``up[node]`` is a tuple of the node ids of the faces
     one dimension up that contain it.  The empty face is not materialized.
@@ -244,7 +241,7 @@ class HasseDiagram:
     algorithms keep private alive-flag / coface-count arrays per run.
     """
 
-    __slots__ = ("dim", "faces", "level_start", "up", "down")
+    __slots__ = ("dim", "faces", "index", "level_start", "up", "down")
 
     def level_range(self, k: int) -> range:
         return range(self.level_start[k], self.level_start[k + 1])
@@ -269,6 +266,7 @@ def build_hasse(K: SimplicialComplex) -> HasseDiagram:
             faces.append(f)
         level_start.append(len(faces))
     H.faces = faces
+    H.index = index
     H.level_start = level_start
 
     # node ids are the index's own int objects, shared by every tuple

@@ -244,19 +244,22 @@ class FlipState:
         A k-move acts on a face of dimension d-k; 0-moves subdivide a
         random facet and are always proper.
         """
-        i = self.d - move_dim
-        for face in self._shuffled(self.options_at(i)):
-            if self.is_proper(face):
-                return self.apply_flip(face)
-        raise ImproperMove(f"no proper {move_dim}-move available")
+        move = self._first_proper_flip(self.d - move_dim)
+        if move is None:
+            raise ImproperMove(f"no proper {move_dim}-move available")
+        return move
 
-    def _shuffled(self, items: list):
-        # incremental Fisher-Yates: pay random draws only for what is consumed
+    def _first_proper_flip(self, i: int) -> FlipMove | None:
+        """Apply the first proper flip at an i-face in random order, if any."""
+        # incremental Fisher-Yates: pay random draws only for the faces tried
+        items = self.options_at(i)
         n = len(items)
         for a in range(n):
             b = a + self.rng.randbelow(n - a)
             items[a], items[b] = items[b], items[a]
-            yield items[a]
+            if self.is_proper(items[a]):
+                return self.apply_flip(items[a])
+        return None
 
     def to_complex(self) -> SimplicialComplex:
         return SimplicialComplex(self.facets)
@@ -314,9 +317,8 @@ def _cooling_move(state: FlipState) -> FlipMove | None:
     """First proper f-non-increasing flip, scanning faces of dimension
     0 upward to floor(d/2) (i.e. d-moves first), random order per level."""
     for i in range(state.d // 2 + 1):
-        for face in state._shuffled(state.options_at(i)):
-            if state.is_proper(face):
-                return state.apply_flip(face)
+        if (move := state._first_proper_flip(i)) is not None:
+            return move
     return None
 
 

@@ -40,7 +40,10 @@ def parse_facet_text(text: str) -> list[list[int]]:
 
 
 def parse_facet_json(text: str) -> list[list[int]]:
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise EmptyInput("JSON input nested too deeply") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("facets"), list):
         raise EmptyInput('JSON input must be an object with a "facets" list')
     facets = []

@@ -233,11 +233,10 @@ def verify_acyclic_matching(H: HasseDiagram, result: MorseResult) -> bool:
     levels, so each level pair is checked independently by Kahn's
     algorithm.
     """
-    node_of = {f: nd for nd, f in enumerate(H.faces)}
     matched_up: dict[int, int] = {}
     for low_face, high_face in result.matching:
-        lo = node_of.get(tuple(sorted(low_face)))
-        hi = node_of.get(tuple(sorted(high_face)))
+        lo = H.index.get(tuple(sorted(low_face)))
+        hi = H.index.get(tuple(sorted(high_face)))
         if lo is None or hi is None or lo not in H.down[hi]:
             raise InconsistentMatching(f"pair {low_face} < {high_face} is not an incidence")
         if lo in matched_up:

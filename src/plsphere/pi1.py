@@ -339,7 +339,6 @@ class TrivialityVerdict:
     #: abelianization (free rank, torsion orders) as witness
     trace: TietzeTrace | None = None
     abelianization: tuple[int, tuple[int, ...]] | None = None
-    simplified: GroupPresentation | None = None
 
     def as_dict(self) -> dict:
         out: dict = {"verdict": self.verdict.value}
@@ -358,13 +357,8 @@ def triviality_verdict(
     the abelianization is non-trivial, unknown otherwise."""
     simplified, trace = tietze_simplify(P, effort_limit)
     if simplified.is_empty():
-        return TrivialityVerdict(Verdict.TRIVIAL, trace=trace, simplified=simplified)
+        return TrivialityVerdict(Verdict.TRIVIAL, trace=trace)
     rank, torsion = simplified.abelianization()
     if rank > 0 or torsion:
-        return TrivialityVerdict(
-            Verdict.NON_TRIVIAL,
-            trace=trace,
-            abelianization=(rank, torsion),
-            simplified=simplified,
-        )
-    return TrivialityVerdict(Verdict.UNKNOWN, trace=trace, simplified=simplified)
+        return TrivialityVerdict(Verdict.NON_TRIVIAL, trace=trace, abelianization=(rank, torsion))
+    return TrivialityVerdict(Verdict.UNKNOWN, trace=trace)

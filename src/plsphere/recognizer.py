@@ -35,7 +35,7 @@ from .flips import bistellar_simplify
 from .homology import homology
 from .morse import Strategy, is_spherical, random_discrete_morse
 from .pi1 import Verdict as Pi1Verdict
-from .pi1 import pi1_presentation, triviality_verdict
+from .pi1 import DEFAULT_BUDGET, pi1_presentation, triviality_verdict
 
 #: Morse rounds per link in the manifold check
 LINK_MORSE_ROUNDS = 20
@@ -90,7 +90,7 @@ class RecognitionConfig:
     flip_rounds: int = 10**6
     strategy: Strategy = Strategy.RANDOM_RANDOM
     seed: int = 0
-    pi1_budget: int = 10**6
+    pi1_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
         if self.morse_rounds < 0 or self.flip_rounds < 0:

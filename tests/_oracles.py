@@ -3,14 +3,15 @@
 Everything but the last section is written from first principles
 (definitions, not the library's algorithms) so that test expectations are
 genuinely independent of the code under test.  The last section keeps the
-library's earlier homology and Tietze kernels, whose outputs the current
-ones must repeat exactly.
+library's earlier homology and Tietze kernels and its earlier barycentric
+subdivision, whose outputs the current ones must repeat exactly.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import gcd
 
+from plsphere.complex_core import SimplicialComplex
 from plsphere.homology import (
     HomologyGroups,
     _prime,
@@ -241,9 +242,26 @@ def is_sphere_small_dim_naive(facets):
 
 
 # -- the invariant kernels as they were before clearing and the occurrence
-# index.  These are the library's earlier algorithms, not first principles:
-# the faster kernels must give exactly their invariants, presentations and
-# Tietze traces.
+# index, and the subdivision as it was before it walked the Hasse diagram.
+# These are the library's earlier algorithms, not first principles: the
+# faster kernels must give exactly their invariants, presentations, Tietze
+# traces and facets.
+
+
+def barycentric_subdivision_permutations(K):
+    """The order complex of K's face poset, labelled by (dimension, lex)
+    rank: one chain per vertex ordering of each facet, whose prefixes,
+    sorted, are the chain's faces."""
+    rank = {}
+    for level in K.faces_by_dim():
+        for f in level:
+            rank[f] = len(rank)
+    new_facets = []
+    for facet in K.facets:
+        for order in permutations(facet):
+            chain = [rank[tuple(sorted(order[:j]))] for j in range(1, len(order) + 1)]
+            new_facets.append(tuple(sorted(chain)))
+    return SimplicialComplex(new_facets)
 
 
 def homology_full(K, coefficients="Z", reduced=False):

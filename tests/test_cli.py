@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import resource
@@ -9,8 +10,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from plsphere import cli, generators, io
+from plsphere import cli, generators, io, pi1
 from plsphere.cli import main
+from plsphere.flips import AnnealingSchedule, bistellar_simplify
+from plsphere.homology import homology
+from plsphere.morse import Strategy
+from plsphere.recognizer import RecognitionConfig
 
 ROOT = Path(__file__).parent.parent
 SCHEMA = json.loads((ROOT / "docs" / "report-schema.json").read_text())
@@ -149,6 +154,56 @@ def test_sd_specifier(capsys):
     code, report = run_json(capsys, "check", "sd:1:bd_simplex:2")
     assert code == 0
     assert report["f_vector"] == [6, 6]
+
+
+def test_deeply_nested_sd_specifier_exit_0(capsys):
+    # 3000 prefixes, far past the recursion limit, add up their rounds
+    code, out, err = run(capsys, "check", "sd:0:" * 3000 + "rp2_6")
+    assert code == 0
+    assert err == ""
+    assert "f_vector: [6, 15, 10]" in out
+    code, report = run_json(capsys, "check", "sd:0:sd:1:" * 2 + "bd_simplex:2")
+    assert report["f_vector"] == [12, 12]
+
+
+def test_deeply_nested_json_exit_65(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"facets": ' + "[" * 100000 + "]" * 100000 + "}")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 65
+    assert out == ""
+    assert err == "plsphere: JSON input nested too deeply\n"
+
+
+def _defaults(func) -> dict:
+    return {
+        name: p.default
+        for name, p in inspect.signature(func).parameters.items()
+        if p.default is not p.empty
+    }
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+
+    def parse(*argv):
+        return vars(parser.parse_args([*argv, "rp2_6"]))
+
+    recognize = parse("recognize")
+    recognize["strategy"] = Strategy(recognize["strategy"])
+    fields = ("morse_rounds", "flip_rounds", "strategy", "seed", "pi1_budget")
+    assert RecognitionConfig(**{k: recognize[k] for k in fields}) == RecognitionConfig()
+    assert RecognitionConfig().pi1_budget == pi1.DEFAULT_BUDGET
+    assert parse("pi1")["budget"] == _defaults(pi1.triviality_verdict)["effort_limit"]
+    assert parse("pi1")["seed"] == _defaults(pi1.pi1_presentation)["base_tree_seed"]
+    flips = parse("flips")
+    simplify = _defaults(bistellar_simplify)
+    assert (flips["rounds"], flips["seed"]) == (simplify["max_rounds"], simplify["seed"])
+    schedule = (flips["cool_threshold_alpha"], flips["cool_threshold_beta"], flips["heat_gamma"])
+    assert AnnealingSchedule(*schedule, flips["heat_dist"]) == AnnealingSchedule()
+    homology_args = parse("homology")
+    assert homology_args["coefficients"] == _defaults(homology)["coefficients"]
+    assert homology_args["reduced"] == _defaults(homology)["reduced"]
 
 
 def test_usage_error_exit_64(capsys):

@@ -2,7 +2,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import all_faces, chain_count, euler_naive, f_vector_naive, link_naive
+from _oracles import (
+    all_faces,
+    barycentric_subdivision_permutations,
+    chain_count,
+    euler_naive,
+    f_vector_naive,
+    link_naive,
+)
 from plsphere import complex_core, generators
 from plsphere.complex_core import SimplicialComplex, build_hasse
 from plsphere.errors import (
@@ -106,6 +113,21 @@ def test_barycentric_subdivision_counts_match_chain_oracle(small_corpus):
         expected = tuple(chain_count(K.facets, t + 1) for t in range(K.dim + 1))
         assert sd.f_vector() == expected, name
         assert sd.euler_characteristic() == K.euler_characteristic(), name
+
+
+#: facets of different sizes: every chain must run down to a vertex
+NON_PURE = {
+    "triangle_and_edge": [[0, 1, 2], [2, 3]],
+    "triangle_and_vertex": [[0, 1, 2], [3]],
+    "tetrahedron_edge_triangle": [[0, 1, 2, 3], [3, 4], [4, 5, 6]],
+}
+
+
+def test_barycentric_subdivision_matches_permutation_oracle(small_corpus):
+    non_pure = {name: SimplicialComplex.from_facets(f) for name, f in NON_PURE.items()}
+    for name, K in {**small_corpus, **non_pure}.items():
+        expected = barycentric_subdivision_permutations(K).facets
+        assert K.barycentric_subdivision().facets == expected, name
 
 
 def test_barycentric_capacity(monkeypatch):

@@ -1,9 +1,10 @@
 """Known-answer files: seeded outputs pinned across commits.
 
 Each file under ``golden/`` is the exact text of one seeded computation:
-Morse spectra, ``morse --certificate`` matchings, perturbed spheres with
-their flip trajectories, ``recognize --format json`` reports, one per
-answer kind, and ``homology``/``pi1 --format json`` reports.  A change that
+sha256 digests of subdivided complexes, Morse spectra, ``morse
+--certificate`` matchings, perturbed spheres with their flip trajectories,
+``recognize --format json`` reports, one per answer kind, and
+``homology``/``pi1 --format json`` reports.  A change that
 alters any of them changes a seeded output; regenerate the files only for
 such a change made on purpose, and say so in CHANGES.md:
 
@@ -13,6 +14,7 @@ such a change made on purpose, and say so in CHANGES.md:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io as textio
 import os
 import sys
@@ -50,6 +52,13 @@ def _json(*argv: str) -> str:
     with contextlib.redirect_stdout(out):
         main(["--format", "json", *argv])
     return out.getvalue()
+
+
+def _subdivision_digests(*specs: str) -> str:
+    return "".join(
+        f"{spec} {hashlib.sha256(io.facet_text(resolve_complex(spec)).encode()).hexdigest()}\n"
+        for spec in specs
+    )
 
 
 def _recognize(*argv: str) -> str:
@@ -91,6 +100,10 @@ CASES = {
         for s in range(2)
     },
     **{f"trajectory_4_{s}.tsv": (lambda s=s: _trajectory(s, 4)) for s in range(2)},
+    # the facets of the paper's subdivided inputs, criterion 5's among them
+    "subdivision_sha256.txt": lambda: _subdivision_digests(
+        "sd:1:bd_simplex:5", "sd:2:bd_simplex:4", "sd:3:bd_simplex:4"
+    ),
     "recognize_yes_bd_simplex_4.json": lambda: _recognize("bd_simplex:4"),
     "recognize_no_susp_rp2_6.json": _recognize_suspended_rp2,
     "recognize_undecided_sd1_bd4.json": lambda: _recognize(
