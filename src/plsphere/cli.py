@@ -47,15 +47,24 @@ def resolve_complex(spec: str) -> SimplicialComplex:
     """A builtin specifier or else a facet-file path, under any number of ``sd:k:``."""
     rounds = 0
     while spec.split(":", 1)[0] == "sd":
-        _, k, rest = spec.split(":", 2)
-        if int(k) < 0:
+        parts = spec.split(":", 2)
+        try:
+            k = int(parts[1])
+        except (IndexError, ValueError):
+            k = None
+        if k is None or len(parts) < 3 or not parts[2]:
+            raise InvalidSpec(f"{spec!r} is not of the form sd:<k>:<spec>")
+        if k < 0:
             raise InvalidSpec(f"negative subdivision count in {spec!r}")
-        rounds += int(k)
-        spec = rest
+        rounds += k
+        spec = parts[2]
     head = spec.split(":", 1)[0]
     if head in generators.GENERATORS:
         build = generators.GENERATORS[head]
-        params = [int(p) for p in spec.split(":")[1:]]
+        try:
+            params = [int(p) for p in spec.split(":")[1:]]
+        except ValueError:
+            raise InvalidSpec(f"{spec!r} is not of the form {head}:<int>:...") from None
         signature = inspect.signature(build)
         try:
             signature.bind(*params)

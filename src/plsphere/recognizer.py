@@ -20,6 +20,11 @@ by ``precheck(L)`` and ``recognize_sphere(L)`` alone and never re-derives
 the links of L: it visits every face of dimension <= d - 2 anyway (the link
 of a ridge is two points) and stops at the first NO.  A link judged YES
 whose own links fail still ends the check in NO, at the larger face.
+Verdicts are cached by a link's order type, its facets relabelled to
+0..n-1 in vertex order: symmetric inputs such as barycentric subdivisions
+repeat a few link shapes under many labellings, and an order-preserving
+relabelling keeps every numbering, and so every random draw, that
+:func:`recognize_sphere` makes (see :func:`is_combinatorial_manifold`).
 :func:`recognize` runs the manifold check on K and then
 :func:`recognize_sphere` on K itself.
 """
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from itertools import combinations
 
 from .complex_core import Face, SimplicialComplex
 from .errors import NotPure, PrereqFailed
@@ -199,7 +205,9 @@ class ManifoldReport:
     summary: Answer
     #: links that did not come back YES, as (face, verdict) pairs
     failures: list[tuple[Face, Verdict]]
+    #: link shapes (order types) judged
     links_checked: int
+    #: links whose shape was judged before
     cache_hits: int
     log: list[str] = field(default_factory=list)
 
@@ -213,8 +221,18 @@ def is_combinatorial_manifold(
     Each link L is judged given its own links, as ``precheck(L)`` or else
     ``recognize_sphere(L)``: the links of L are links of larger faces of K,
     which this loop visits too, bottom-up by face dimension (vertex links
-    first), stopping at the first NO.  Verdicts are cached by facet tuple,
-    since links repeat heavily in structured inputs.
+    first), stopping at the first NO.  One sweep over the facets per
+    dimension i gives every i-face its link facets, in facet order.
+
+    Verdicts are cached by the link's order type: its facets with the
+    vertices relabelled 0..n-1 in sorted order.  An order-preserving
+    relabelling keeps the (dimension, lex) face numbering, so Morse runs,
+    homology, the pi1 spanning tree (sorted adjacency) and flips (new
+    vertices above the largest label) make the same draws and reach the
+    same verdict.  Given that K passes the precheck, NO and UNDECIDED
+    verdicts hold no vertex labels; YES payloads never leave this function;
+    and the first link of a shape is judged on its own labels, so the NO
+    that ends the check certifies that face's link itself.
     """
     cfg = cfg or RecognitionConfig()
     bad = precheck(K)
@@ -228,13 +246,23 @@ def is_combinatorial_manifold(
     log: list[str] = []
     undecided = False
 
-    for i in range(K.dim - 1):
+    d = K.dim
+    for i in range(d - 1):
+        # the j-th (i+1)-subset of g, in lex order, is the complement of the
+        # j-th (d-i)-subset in reverse lex order
+        links: dict[Face, list[Face]] = {}
+        for g in K.facets:
+            for F, rest in zip(combinations(g, i + 1), reversed(list(combinations(g, d - i)))):
+                links.setdefault(F, []).append(rest)
         for F in K.faces(i):
-            L = K.link(F)
-            verdict = cache.get(L.facets)
+            facets = links[F]
+            rank = {v: n for n, v in enumerate(sorted(set().union(*facets)))}
+            key = tuple([tuple([rank[v] for v in f]) for f in facets])
+            verdict = cache.get(key)
             if verdict is None:
+                L = SimplicialComplex(facets)
                 verdict = precheck(L) or recognize_sphere(L, link_cfg)
-                cache[L.facets] = verdict
+                cache[key] = verdict
                 checked += 1
             else:
                 hits += 1

@@ -3,14 +3,17 @@
 Everything but the last section is written from first principles
 (definitions, not the library's algorithms) so that test expectations are
 genuinely independent of the code under test.  The last section keeps the
-library's earlier homology and Tietze kernels and its earlier barycentric
-subdivision, whose outputs the current ones must repeat exactly.
+library's earlier homology and Tietze kernels, its earlier barycentric
+subdivision and its earlier manifold check, whose outputs the current ones
+must repeat exactly.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
+from plsphere import recognizer
 from plsphere.complex_core import SimplicialComplex
 from plsphere.homology import (
     HomologyGroups,
@@ -242,10 +245,11 @@ def is_sphere_small_dim_naive(facets):
 
 
 # -- the invariant kernels as they were before clearing and the occurrence
-# index, and the subdivision as it was before it walked the Hasse diagram.
-# These are the library's earlier algorithms, not first principles: the
-# faster kernels must give exactly their invariants, presentations, Tietze
-# traces and facets.
+# index, the subdivision as it was before it walked the Hasse diagram, and
+# the manifold check as it was before its order-type link cache.  These are
+# the library's earlier algorithms, not first principles: the faster kernels
+# must give exactly their invariants, presentations, Tietze traces, facets
+# and manifold reports.
 
 
 def barycentric_subdivision_permutations(K):
@@ -378,3 +382,42 @@ def tietze_simplify_list(P, effort_limit):
     new = {g: i for i, g in enumerate(labels, 1)}
     relators = tuple(tuple(new[x] if x > 0 else -new[-x] for x in w) for w in relators if w)
     return GroupPresentation(len(labels), relators), trace, phase
+
+
+def is_combinatorial_manifold_per_face(K, cfg=None):
+    """``is_combinatorial_manifold`` with one ``K.link(F)`` per face and
+    verdicts cached by the link's labelled facet tuple."""
+    Answer = recognizer.Answer
+    cfg = cfg or recognizer.RecognitionConfig()
+    bad = recognizer.precheck(K)
+    if bad is not None:
+        return recognizer.ManifoldReport(Answer.NO, [((), bad)], 0, 0, list(bad.log))
+
+    link_cfg = replace(cfg, morse_rounds=recognizer.LINK_MORSE_ROUNDS)
+    cache = {}
+    failures = []
+    checked = hits = 0
+    log = []
+    undecided = False
+
+    for i in range(K.dim - 1):
+        for F in K.faces(i):
+            L = K.link(F)
+            verdict = cache.get(L.facets)
+            if verdict is None:
+                verdict = recognizer.precheck(L) or recognizer.recognize_sphere(L, link_cfg)
+                cache[L.facets] = verdict
+                checked += 1
+            else:
+                hits += 1
+            if verdict.answer is Answer.NO:
+                failures.append((F, verdict))
+                log.append(f"link of {F} is not a sphere")
+                return recognizer.ManifoldReport(Answer.NO, failures, checked, hits, log)
+            if verdict.answer is not Answer.YES:
+                undecided = True
+                failures.append((F, verdict))
+        log.append(f"all {i}-face links checked")
+
+    summary = Answer.UNDECIDED if undecided else Answer.YES
+    return recognizer.ManifoldReport(summary, failures, checked, hits, log)

@@ -302,6 +302,23 @@ def test_malformed_input_exit_65(tmp_path, capsys, arg):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "spec, form",
+    [
+        ("sd:1", "sd:<k>:<spec>"),
+        ("sd:x:rp2_6", "sd:<k>:<spec>"),
+        ("sd:1:", "sd:<k>:<spec>"),
+        ("simplex:x", "simplex:<int>:..."),
+        ("simplex:", "simplex:<int>:..."),
+    ],
+)
+def test_malformed_specifier_names_its_form(capsys, spec, form):
+    code, out, err = run(capsys, "check", spec)
+    assert code == 65
+    assert out == ""
+    assert err == f"plsphere: {spec!r} is not of the form {form}\n"
+
+
 def test_homology_rejects_non_prime_coefficients(capsys):
     for coefficients in ("0", "1", "4", "z", str(2**61 - 1)):
         code, out, err = run(capsys, "homology", "rp2_6", "--coefficients", coefficients)

@@ -1,10 +1,11 @@
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import is_sphere_small_dim_naive
+from _oracles import is_combinatorial_manifold_per_face, is_sphere_small_dim_naive
 from plsphere import flips, generators, recognizer
 from plsphere.complex_core import SimplicialComplex
 from plsphere.errors import PrereqFailed
@@ -307,6 +308,69 @@ def test_manifold_verifier_no_with_witness():
     assert r.summary is Answer.NO
     face, verdict = r.failures[0]
     assert S.link(face) == generators.rp2_6()
+
+
+#: (Morse rounds per link, config) pairs: the defaults; a lex strategy, which
+#: needs three Morse rounds on ``perturbed_3``; UNDECIDED links (no Morse, a
+#: pi1 budget of 1, no flips); the same with the flip path; and the pi1 path
+#: at its default budget
+LINK_CONFIGS = [
+    (recognizer.LINK_MORSE_ROUNDS, RecognitionConfig()),
+    (recognizer.LINK_MORSE_ROUNDS, RecognitionConfig(strategy=Strategy.RANDOM_LEX_FIRST)),
+    (0, RecognitionConfig(pi1_budget=1, flip_rounds=0)),
+    (0, RecognitionConfig(pi1_budget=1, flip_rounds=200)),
+    (0, RecognitionConfig(flip_rounds=0)),
+]
+
+
+def _manifold_inputs(corpus):
+    yield from corpus.items()
+    yield "susp_rp2_6", generators.suspension(generators.rp2_6())
+    yield "sd1_bd_simplex_5", generators.boundary_of_simplex(5).barycentric_subdivision()
+    yield "perturbed_3", generators.perturbed_sphere(3, 20, 200, 0, seed=7)
+    yield "perturbed_4", generators.perturbed_sphere(4, 10, 60, 40, 0)
+
+
+def _report(r):
+    return r.summary, r.log, [(F, v.as_dict()) for F, v in r.failures]
+
+
+@pytest.mark.parametrize("link_rounds, cfg", LINK_CONFIGS)
+def test_manifold_check_matches_per_face_oracle(corpus, monkeypatch, link_rounds, cfg):
+    monkeypatch.setattr(recognizer, "LINK_MORSE_ROUNDS", link_rounds)
+    for name, K in _manifold_inputs(corpus):
+        got = is_combinatorial_manifold(K, cfg)
+        want = is_combinatorial_manifold_per_face(K, cfg)
+        assert _report(got) == _report(want), name
+        assert got.links_checked + got.cache_hits == want.links_checked + want.cache_hits
+
+
+def _relabelled(K):
+    return SimplicialComplex([tuple(3 * v + 7 for v in f) for f in K.facets])
+
+
+@pytest.mark.parametrize("link_rounds, cfg", LINK_CONFIGS)
+def test_link_verdicts_survive_order_preserving_relabelling(corpus, link_rounds, cfg):
+    # the manifold check's cache hands a verdict to every link of one order type
+    cfg = replace(cfg, morse_rounds=link_rounds)
+    seen = set()
+    for name, K in _manifold_inputs(corpus):
+        if precheck(K) is not None:
+            continue
+        links = [K] + [K.link(F) for i in (0, 1) if i < K.dim for F in K.faces(i)]
+        for L in links:
+            if L.facets in seen or precheck(L) is not None:
+                continue
+            seen.add(L.facets)
+            want = recognize_sphere(L, cfg).as_dict()
+            assert recognize_sphere(_relabelled(L), cfg).as_dict() == want, (name, L)
+
+
+def test_manifold_check_judges_each_link_shape_once():
+    # 1542 labelled links of 10 order types, 2162 faces of dimension <= 2
+    r = is_combinatorial_manifold(generators.boundary_of_simplex(5).barycentric_subdivision())
+    assert r.summary is Answer.YES
+    assert (r.links_checked, r.cache_hits) == (10, 2152)
 
 
 def test_config_validation():
