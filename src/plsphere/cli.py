@@ -80,6 +80,16 @@ def resolve_complex(spec: str) -> SimplicialComplex:
     return K
 
 
+def _weights(text: str) -> tuple[int, ...]:
+    """The ``--heat-dist`` list; a malformed one is a usage error."""
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a comma-separated list of integers"
+        ) from None
+
+
 def _emit(report: dict, fmt: str, text: str) -> None:
     if fmt == "json":
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -100,8 +110,7 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    K = resolve_complex(args.complex)
+def _cmd_check(args, K: SimplicialComplex) -> int:
     pure = K.is_pure()
     ok, witness = (K.is_closed_pseudomanifold() if pure else (False, None))
     connected = K.is_connected()
@@ -120,8 +129,7 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_morse(args) -> int:
-    K = resolve_complex(args.complex)
+def _cmd_morse(args, K: SimplicialComplex) -> int:
     res = random_discrete_morse(K, Strategy(args.strategy), seed=args.seed)
     report = {
         "strategy": args.strategy,
@@ -140,8 +148,7 @@ def _cmd_morse(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
-    K = resolve_complex(args.complex)
+def _cmd_spectrum(args, K: SimplicialComplex) -> int:
     res = morse_spectrum(K, Strategy(args.strategy), rounds=args.rounds, seed=args.seed)
     report = {
         "strategy": args.strategy,
@@ -155,15 +162,13 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
-def _cmd_homology(args) -> int:
-    K = resolve_complex(args.complex)
+def _cmd_homology(args, K: SimplicialComplex) -> int:
     hg = homology(K, args.coefficients, reduced=args.reduced)
     _emit(hg.report_dict(), args.format, hg.report_text())
     return 0
 
 
-def _cmd_pi1(args) -> int:
-    K = resolve_complex(args.complex)
+def _cmd_pi1(args, K: SimplicialComplex) -> int:
     P = pi1_presentation(K, base_tree_seed=args.seed)
     verdict = triviality_verdict(P, effort_limit=args.budget)
     report = {"seed": args.seed, "generators": P.generators, "relators": len(P.relators)}
@@ -179,11 +184,9 @@ def _cmd_pi1(args) -> int:
     return 0
 
 
-def _cmd_flips(args) -> int:
-    K = resolve_complex(args.complex)
-    heat = tuple(int(x) for x in args.heat_dist.split(",")) if args.heat_dist else None
+def _cmd_flips(args, K: SimplicialComplex) -> int:
     schedule = AnnealingSchedule(
-        args.cool_threshold_alpha, args.cool_threshold_beta, args.heat_gamma, heat
+        args.cool_threshold_alpha, args.cool_threshold_beta, args.heat_gamma, args.heat_dist
     )
     res = bistellar_simplify(K, seed=args.seed, max_rounds=args.rounds, schedule=schedule)
     report = {
@@ -206,8 +209,7 @@ def _cmd_flips(args) -> int:
     return 0
 
 
-def _cmd_recognize(args) -> int:
-    K = resolve_complex(args.complex)
+def _cmd_recognize(args, K: SimplicialComplex) -> int:
     cfg = RecognitionConfig(
         morse_rounds=args.morse_rounds,
         flip_rounds=args.flip_rounds,
@@ -279,7 +281,7 @@ def build_parser() -> _Parser:
     f.add_argument("--cool-threshold-alpha", type=float, default=schedule.alpha)
     f.add_argument("--cool-threshold-beta", type=float, default=schedule.beta)
     f.add_argument("--heat-gamma", type=float, default=schedule.gamma)
-    f.add_argument("--heat-dist", help="comma-separated weights by move dimension")
+    f.add_argument("--heat-dist", type=_weights, help="comma-separated weights by move dimension")
     f.add_argument("--trajectory", help="write the move trajectory TSV here")
     f.add_argument("-o", "--output", help="write the simplified complex here")
 
@@ -302,6 +304,8 @@ def main(argv=None) -> int:
         if args.complex is None:
             parser.error(f"{args.command}: a complex (file or specifier) is required")
     try:
+        if hasattr(args, "complex"):
+            return args.func(args, resolve_complex(args.complex))
         return args.func(args)
     except CapacityExceeded as e:
         print(f"plsphere: capacity exceeded: {e}", file=sys.stderr)

@@ -81,10 +81,6 @@ class SimplicialComplex:
             self._vertices = tuple(sorted(vs))
         return self._vertices
 
-    @property
-    def n_vertices(self) -> int:
-        return len(self.vertices)
-
     def face_bound(self) -> int:
         """Upper bound on the face count: facet f has 2^|f| - 1 faces."""
         return sum(2 ** len(f) - 1 for f in self.facets)
@@ -114,9 +110,6 @@ class SimplicialComplex:
         if self._hasse is None:
             self._hasse = build_hasse(self)
         return self._hasse
-
-    def num_faces(self) -> int:
-        return sum(len(level) for level in self.faces_by_dim())
 
     def f_vector(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.faces_by_dim())

@@ -10,10 +10,11 @@ class EmptyInput(PLSphereError):
 
 
 class DuplicateVertexInFacet(PLSphereError):
-    def __init__(self, facet_index, facet):
+    def __init__(self, facet_index, facet, line=None):
         self.facet_index = facet_index
         self.facet = facet
-        super().__init__(f"facet #{facet_index} contains a duplicate vertex: {facet}")
+        where = f"facet #{facet_index}" if line is None else f"line {line}: facet #{facet_index}"
+        super().__init__(f"{where} contains a duplicate vertex: {facet}")
 
 
 class NotPure(PLSphereError):

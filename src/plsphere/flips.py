@@ -172,13 +172,11 @@ class FlipState:
 
     def replacement_of(self, face: Face) -> Face:
         """Link vertices of a face: the v with face | {v} a face (the empty
-        tuple for a facet or a non-face)."""
+        tuple for a facet or a non-face), cached per face until a flip drops
+        the entry."""
         rep = self._links.get(face)
-        if rep is None:
-            rep = self._links[face] = self._link_vertices(face)
-        return rep
-
-    def _link_vertices(self, face: Face) -> Face:
+        if rep is not None:
+            return rep
         i = len(face) - 1
         if i == self.d or face not in self.count:
             return ()
@@ -190,12 +188,8 @@ class FlipState:
         if i and len(common) > self.d - i + 1:
             count = self.count
             common = [v for v in common if tuple(sorted(face + (v,))) in count]
-        return tuple(sorted(common))
-
-    def options_at(self, dim: int) -> list[Face]:
-        """Flippable faces of the given dimension, in sorted order, as a copy
-        that the caller may shuffle."""
-        return self.candidates[dim][:]
+        rep = self._links[face] = tuple(sorted(common))
+        return rep
 
     def is_proper(self, face: Face) -> bool:
         """A flip is proper when it does not re-introduce an existing face."""
@@ -251,8 +245,9 @@ class FlipState:
 
     def _first_proper_flip(self, i: int) -> FlipMove | None:
         """Apply the first proper flip at an i-face in random order, if any."""
-        # incremental Fisher-Yates: pay random draws only for the faces tried
-        items = self.options_at(i)
+        # incremental Fisher-Yates on a copy of the sorted candidates: pay
+        # random draws only for the faces tried
+        items = self.candidates[i][:]
         n = len(items)
         for a in range(n):
             b = a + self.rng.randbelow(n - a)

@@ -32,7 +32,7 @@ def parse_facet_text(text: str) -> list[list[int]]:
         if any(v < 0 for v in verts):
             raise EmptyInput(f"line {lineno}: negative vertex label")
         if len(set(verts)) != len(verts):
-            raise DuplicateVertexInFacet(lineno, verts)
+            raise DuplicateVertexInFacet(len(facets), verts, line=lineno)
         facets.append(verts)
     if not facets:
         raise EmptyInput("no facets in input")

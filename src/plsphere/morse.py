@@ -11,16 +11,17 @@ seeds into contiguous blocks, one per CPU, up to ``MAX_WORKERS``.  The
 parent has K build its Hasse diagram, then forks a child per block after
 the first, which inherits K and the diagram without pickling.  The parent
 runs the first block itself.  Each block counts its distinct vectors in
-order of first appearance, and each child sends back that count table, one
-text line per vector, over a pipe.  The parent adds the tables in seed
-order, so the spectrum is the same for any number of workers.  It forks
-nothing where fork is missing or unsafe: on macOS, and while the calling
-process runs more than one thread.
+order of first appearance, and each child sends back that count table,
+marshalled, over a pipe.  The parent adds the tables in seed order, so the
+spectrum is the same for any number of workers.  It forks nothing where
+fork is missing or unsafe: on macOS, and while the calling process runs
+more than one thread.
 """
 
 from __future__ import annotations
 
 import heapq
+import marshal
 import os
 import sys
 import time
@@ -382,9 +383,9 @@ def _run_block(K, strategy, first, stop) -> dict[tuple[int, ...], int]:
 
 
 def _fork_block(K, strategy, first, stop) -> tuple[int, int]:
-    """Fork a child that runs seeds first..stop-1 and writes one line
-    ``c0,c1,... n`` per distinct vector and its count to a pipe; return its
-    pid and the read end.  The child exits non-zero if its block raises."""
+    """Fork a child that runs seeds first..stop-1 and writes their count
+    table, marshalled, to a pipe; return its pid and the read end.  The
+    child exits non-zero, having written nothing, if its block raises."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -397,8 +398,8 @@ def _fork_block(K, strategy, first, stop) -> tuple[int, int]:
         try:
             os.close(r)
             counts = _run_block(K, strategy, first, stop)
-            with open(w, "w") as out:
-                out.write("".join(f"{','.join(map(str, v))} {n}\n" for v, n in counts.items()))
+            with open(w, "wb") as out:
+                out.write(marshal.dumps(counts))
             status = 0
         except Exception:
             sys.excepthook(*sys.exc_info())
@@ -410,14 +411,11 @@ def _fork_block(K, strategy, first, stop) -> tuple[int, int]:
 
 
 def _read_block(fd: int) -> dict[tuple[int, ...], int]:
+    """The count table a child wrote, or an empty one if it wrote nothing."""
     chunks = []
     while chunk := os.read(fd, 1 << 16):
         chunks.append(chunk)
-    counts = {}
-    for line in b"".join(chunks).decode().splitlines():
-        v, n = line.split(" ")
-        counts[tuple(map(int, v.split(",")))] = int(n)
-    return counts
+    return marshal.loads(b"".join(chunks)) if chunks else {}
 
 
 def format_vector(v: tuple[int, ...]) -> str:

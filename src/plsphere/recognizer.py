@@ -7,11 +7,12 @@ link of every face of K is a PL sphere.  Given both, K is two points for
 d = 0, a single cycle for d = 1, and a closed surface, a sphere iff its
 Euler characteristic is 2, for d = 2.  For d >= 3 it runs, in order: random
 discrete Morse searches (a spherical vector certifies YES), integral homology
-(a non-spherical answer certifies NO), a bounded fundamental-group triviality
-test (YES off dimension 4, where only the topological type follows), and
-bistellar simplification toward the boundary of a simplex (YES only when the
-whole move trajectory was kept).  Every YES or NO carries a replayable
-certificate; anything else is reported UNDECIDED.
+(a non-spherical answer certifies NO), budgeted Tietze simplification of a
+fundamental-group presentation (an emptied one certifies YES off dimension
+4, where only the topological type follows), and bistellar simplification
+toward the boundary of a simplex (YES only when the whole move trajectory
+was kept).  Every YES or NO carries a replayable certificate; anything else
+is reported UNDECIDED.
 
 :func:`is_combinatorial_manifold` establishes the second fact.  The link of
 an i-face F has dimension d - i - 1, and the link of a face G inside it is
@@ -20,11 +21,10 @@ by ``precheck(L)`` and ``recognize_sphere(L)`` alone and never re-derives
 the links of L: it visits every face of dimension <= d - 2 anyway (the link
 of a ridge is two points) and stops at the first NO.  A link judged YES
 whose own links fail still ends the check in NO, at the larger face.
-Verdicts are cached by a link's order type, its facets relabelled to
-0..n-1 in vertex order: symmetric inputs such as barycentric subdivisions
-repeat a few link shapes under many labellings, and an order-preserving
-relabelling keeps every numbering, and so every random draw, that
-:func:`recognize_sphere` makes (see :func:`is_combinatorial_manifold`).
+Each link shape is judged once, on its canonical labels: the link's facets
+relabelled to 0..n-1 in vertex order, which is also the cache key.
+Symmetric inputs such as barycentric subdivisions repeat a few link shapes
+under many labellings (see :func:`is_combinatorial_manifold`).
 :func:`recognize` runs the manifold check on K and then
 :func:`recognize_sphere` on K itself.
 """
@@ -41,7 +41,7 @@ from .flips import bistellar_simplify
 from .homology import homology
 from .morse import Strategy, is_spherical, random_discrete_morse
 from .pi1 import Verdict as Pi1Verdict
-from .pi1 import DEFAULT_BUDGET, pi1_presentation, triviality_verdict
+from .pi1 import DEFAULT_BUDGET, TrivialityVerdict, pi1_presentation, tietze_simplify
 
 #: Morse rounds per link in the manifold check
 LINK_MORSE_ROUNDS = 20
@@ -169,9 +169,11 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
         return Verdict(Answer.NO, Certificate("non_spherical_homology", hg), log)
     log.append("homology: spherical")
 
-    P = pi1_presentation(K, base_tree_seed=cfg.seed)
-    pv = triviality_verdict(P, cfg.pi1_budget)
-    if pv.verdict is Pi1Verdict.TRIVIAL:
+    # H_1 = 0 here, so pi1 has a trivial abelianization and is never shown
+    # non-trivial: only an emptied presentation decides
+    P, trace = tietze_simplify(pi1_presentation(K, base_tree_seed=cfg.seed), cfg.pi1_budget)
+    if P.is_empty():
+        pv = TrivialityVerdict(Pi1Verdict.TRIVIAL, trace=trace)
         log.append("pi1: presentation simplified to trivial")
         if d == 4:
             # simply connected homology 4-sphere: topological type only
@@ -179,8 +181,6 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
                 Answer.TOPOLOGICAL_SPHERE_ONLY, Certificate("trivial_pi1", pv), log
             )
         return Verdict(Answer.YES, Certificate("trivial_pi1", pv), log)
-    # H_1 = 0 here, so pi1 has a trivial abelianization and is never shown
-    # non-trivial
     log.append("pi1: inconclusive at budget")
 
     if cfg.flip_rounds > 0:
@@ -224,15 +224,14 @@ def is_combinatorial_manifold(
     first), stopping at the first NO.  One sweep over the facets per
     dimension i gives every i-face its link facets, in facet order.
 
-    Verdicts are cached by the link's order type: its facets with the
-    vertices relabelled 0..n-1 in sorted order.  An order-preserving
-    relabelling keeps the (dimension, lex) face numbering, so Morse runs,
-    homology, the pi1 spanning tree (sorted adjacency) and flips (new
-    vertices above the largest label) make the same draws and reach the
-    same verdict.  Given that K passes the precheck, NO and UNDECIDED
-    verdicts hold no vertex labels; YES payloads never leave this function;
-    and the first link of a shape is judged on its own labels, so the NO
-    that ends the check certifies that face's link itself.
+    A link's shape is its order type: its facets with the vertices
+    relabelled 0..n-1 in sorted order.  Each shape is judged once, on that
+    canonical complex, and the verdict is cached under it, so a cached
+    verdict is by construction the verdict of its own key.  Given that K
+    passes the precheck, every link is a closed pseudomanifold, so a verdict
+    other than YES holds no vertex labels: the link is disconnected, its
+    homology or Euler characteristic is not a sphere's, or no stage
+    decides.  YES payloads never leave this function.
     """
     cfg = cfg or RecognitionConfig()
     bad = precheck(K)
@@ -260,9 +259,8 @@ def is_combinatorial_manifold(
             key = tuple([tuple([rank[v] for v in f]) for f in facets])
             verdict = cache.get(key)
             if verdict is None:
-                L = SimplicialComplex(facets)
-                verdict = precheck(L) or recognize_sphere(L, link_cfg)
-                cache[key] = verdict
+                L = SimplicialComplex(key)
+                verdict = cache[key] = precheck(L) or recognize_sphere(L, link_cfg)
                 checked += 1
             else:
                 hits += 1

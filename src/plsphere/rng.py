@@ -56,9 +56,6 @@ class Rng:
             j = (self.next_u64() * (i + 1)) >> 64
             items[i], items[j] = items[j], items[i]
 
-    def choice(self, items):
-        return items[self.randbelow(len(items))]
-
     def permutation(self, n: int) -> list[int]:
         perm = list(range(n))
         self.shuffle(perm)

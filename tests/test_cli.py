@@ -342,6 +342,16 @@ def test_bad_heat_dist_exit_65(capsys, weights):
     assert err.startswith("plsphere: heat weights")
 
 
+@pytest.mark.parametrize("weights", ["a", "1,,2", " "])
+def test_malformed_heat_dist_is_a_usage_error(capsys, weights):
+    with pytest.raises(SystemExit) as exc:
+        main(["flips", "perturbed_sphere:3:5:20:0:1", "--heat-dist", weights])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument --heat-dist: {weights!r} is not a comma-separated list of integers" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -28,7 +28,7 @@ def _fresh_counts(facets):
 def test_raw_options_boundary_of_simplex_3():
     K = generators.boundary_of_simplex(3)
     state = FlipState(K, Rng(0))
-    opts = [state.options_at(i) for i in range(K.dim + 1)]
+    opts = state.candidates
     assert len(opts[0]) == 4  # every vertex has degree 3 = d+1
     assert len(opts[1]) == 6  # every edge lies in exactly 2 facets
     assert len(opts[2]) == 4  # every facet is a 0-move option
@@ -41,8 +41,8 @@ def test_raw_options_octahedron_has_no_vertex_options():
     octa = generators.suspension(generators.suspension(generators.boundary_of_simplex(1)))
     assert octa.f_vector() == (6, 12, 8)
     state = FlipState(octa, Rng(0))
-    assert len(state.options_at(0)) == 0  # every vertex lies in 4 > 3 triangles
-    assert len(state.options_at(2)) == 8
+    assert len(state.candidates[0]) == 0  # every vertex lies in 4 > 3 triangles
+    assert len(state.candidates[2]) == 8
 
 
 def test_non_pseudomanifold_rejected():
@@ -68,7 +68,7 @@ def test_flip_involution_in_dim_3():
     state = FlipState(generators.boundary_of_simplex(4), Rng(5))
     state.random_move(move_dim=0)
     before = set(state.facets)
-    opts = [f for f in state.options_at(2) if state.is_proper(f)]
+    opts = [f for f in state.candidates[2] if state.is_proper(f)]
     move = state.apply_flip(opts[0])
     assert set(state.facets) != before
     state.apply_flip(move.replacement)  # the reverse move is always proper

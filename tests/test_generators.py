@@ -44,7 +44,7 @@ def test_rp2_6():
 @pytest.mark.parametrize("k,nverts", [(1, 8), (2, 9), (3, 9), (4, 12), (5, 15)])
 def test_saw_blade_vertex_counts(k, nverts):
     K = generators.saw_blade(k)
-    assert K.n_vertices == nverts
+    assert len(K.vertices) == nverts
     assert K.dim == 2
     assert K.euler_characteristic() == 1
 
@@ -88,7 +88,7 @@ def test_perturbed_sphere_subdivision_only_closed_form():
 
 def test_perturbed_sphere_shape_and_invariants():
     K = generators.perturbed_sphere(3, 20, 200, 0, seed=1)
-    assert K.n_vertices == 25
+    assert len(K.vertices) == 25
     assert K.euler_characteristic() == 0
     ok, _ = K.is_closed_pseudomanifold()
     assert ok

@@ -14,6 +14,17 @@ def test_parse_text_rejects_duplicates():
         io.parse_facet_text("0 1 1\n")
 
 
+def test_duplicate_vertex_names_its_line_and_facet():
+    with pytest.raises(DuplicateVertexInFacet) as exc:
+        io.parse_facet_text("# header\n1 1 2\n")
+    assert exc.value.facet_index == 0
+    assert str(exc.value) == "line 2: facet #0 contains a duplicate vertex: [1, 1, 2]"
+    # JSON input has no lines: its message names the facet alone
+    with pytest.raises(DuplicateVertexInFacet) as exc:
+        io.parse_facet_json('{"facets": [[0, 1], [2, 2]]}')
+    assert str(exc.value) == "facet #1 contains a duplicate vertex: [2, 2]"
+
+
 def test_parse_empty_rejected():
     with pytest.raises(EmptyInput):
         io.parse_facet_text("# nothing\n")

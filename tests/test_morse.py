@@ -46,13 +46,13 @@ def test_sphere_boundaries_spherical(strategy):
 
 def test_morse_euler_identity_and_counts(corpus):
     for name, K in corpus.items():
-        if K.num_faces() > 20000:
+        if sum(K.f_vector()) > 20000:
             continue
         chi = K.euler_characteristic()
         res = random_discrete_morse(K, Strategy.RANDOM_RANDOM, seed=3)
         assert sum((-1) ** k * c for k, c in enumerate(res.vector)) == chi, name
         # matched pairs + critical cells account for every face
-        assert 2 * len(res.matching) + len(res.critical) == K.num_faces(), name
+        assert 2 * len(res.matching) + len(res.critical) == sum(K.f_vector()), name
 
 
 def test_weak_morse_inequalities(small_corpus):
@@ -247,6 +247,20 @@ def test_spectrum_blocks_send_count_tables(monkeypatch, workers):
     assert len(tables) == workers
     assert all(len(table) <= 3 for table in tables)
     assert list(res.counts.items()) == [((1, 0, 0), 1000), ((2, 1, 0), 1000), ((3, 2, 0), 1000)]
+
+
+def test_a_failed_worker_names_its_seeds(monkeypatch, capfd):
+    # the last of three blocks raises in its child, which writes no table
+    def run(K, strategy, seed):
+        if seed >= 8:
+            raise RuntimeError("run failed")
+        return MorseResult((1, 0, 0), [], [], seed, strategy)
+
+    monkeypatch.setattr(morse, "random_discrete_morse", run)
+    _use_workers(monkeypatch, 3)
+    with pytest.raises(PLSphereError, match=r"the worker for seeds 8\.\.11 failed \(exit status 1\)"):
+        morse_spectrum(generators.simplex(2), Strategy.RANDOM_RANDOM, rounds=12, seed=0)
+    assert "RuntimeError: run failed" in capfd.readouterr().err
 
 
 def test_hasse_diagram_is_built_once_before_the_first_fork(monkeypatch):

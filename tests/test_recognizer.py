@@ -10,6 +10,7 @@ from plsphere import flips, generators, recognizer
 from plsphere.complex_core import SimplicialComplex
 from plsphere.errors import PrereqFailed
 from plsphere.morse import Strategy
+from plsphere.pi1 import GroupPresentation
 from plsphere.recognizer import (
     Answer,
     Certificate,
@@ -248,6 +249,47 @@ def test_pi1_path_and_dimension_4_guard():
     assert v4.certificate.kind == "trivial_pi1"
 
 
+@pytest.mark.parametrize(
+    "K, cfg, want, trace",
+    [
+        (
+            generators.boundary_of_simplex(4),
+            RecognitionConfig(morse_rounds=0, flip_rounds=0),
+            ("YES", ["homology: spherical", "pi1: presentation simplified to trivial"]),
+            {
+                "free_reductions": 6,
+                "empty_deletions": 4,
+                "generators_eliminated": 6,
+                "subword_replacements": 0,
+                "operations": 78,
+                "budget_exhausted": False,
+            },
+        ),
+        (
+            generators.boundary_of_simplex(4).barycentric_subdivision(),
+            RecognitionConfig(morse_rounds=0, pi1_budget=50, flip_rounds=0),
+            ("UNDECIDED", ["homology: spherical", "pi1: inconclusive at budget"]),
+            None,
+        ),
+    ],
+    ids=["bd_simplex_4", "sd1_bd_simplex_4"],
+)
+def test_pi1_stage_needs_no_abelianization(monkeypatch, K, cfg, want, trace):
+    # homology has shown H_1 = 0, so the pi1 stage only tries to empty the
+    # presentation
+    def refuse(P):
+        raise AssertionError("the abelianization is not needed here")
+
+    monkeypatch.setattr(GroupPresentation, "abelianization", refuse)
+    v = recognize_sphere(K, cfg)
+    assert (v.answer.value, v.log) == want
+    if trace is None:
+        assert v.certificate is None
+    else:
+        assert v.certificate.kind == "trivial_pi1"
+        assert v.certificate.payload.as_dict() == {"verdict": "trivial", "trace": trace}
+
+
 def test_homology_no_path():
     # a 3-pseudomanifold with non-spherical homology: S^2 x S^1-like via
     # suspension of rp2 has wrong links, so instead test the pipeline off
@@ -345,13 +387,15 @@ def test_manifold_check_matches_per_face_oracle(corpus, monkeypatch, link_rounds
         assert got.links_checked + got.cache_hits == want.links_checked + want.cache_hits
 
 
-def _relabelled(K):
-    return SimplicialComplex([tuple(3 * v + 7 for v in f) for f in K.facets])
+def _canonical(K):
+    rank = {v: n for n, v in enumerate(K.vertices)}
+    return SimplicialComplex([tuple(rank[v] for v in f) for f in K.facets])
 
 
 @pytest.mark.parametrize("link_rounds, cfg", LINK_CONFIGS)
 def test_link_verdicts_survive_order_preserving_relabelling(corpus, link_rounds, cfg):
-    # the manifold check's cache hands a verdict to every link of one order type
+    # the manifold check judges each link on its canonical labels 0..n-1 and
+    # hands that verdict to every link of the same order type
     cfg = replace(cfg, morse_rounds=link_rounds)
     seen = set()
     for name, K in _manifold_inputs(corpus):
@@ -363,7 +407,34 @@ def test_link_verdicts_survive_order_preserving_relabelling(corpus, link_rounds,
                 continue
             seen.add(L.facets)
             want = recognize_sphere(L, cfg).as_dict()
-            assert recognize_sphere(_relabelled(L), cfg).as_dict() == want, (name, L)
+            assert recognize_sphere(_canonical(L), cfg).as_dict() == want, (name, L)
+
+
+@pytest.mark.parametrize(
+    "K",
+    [
+        generators.boundary_of_simplex(5).barycentric_subdivision(),
+        generators.perturbed_sphere(3, 20, 200, 0, seed=7),
+    ],
+    ids=["sd1_bd_simplex_5", "perturbed_3"],
+)
+def test_manifold_check_judges_links_on_canonical_labels(monkeypatch, K):
+    judged = []
+
+    def recording(judge):
+        def wrapper(L, *args):
+            judged.append(L)
+            return judge(L, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(recognizer, "precheck", recording(precheck))
+    monkeypatch.setattr(recognizer, "recognize_sphere", recording(recognize_sphere))
+    assert is_combinatorial_manifold(K).summary is Answer.YES
+    links = [L for L in judged if L is not K]
+    assert links
+    for L in links:
+        assert L.vertices == tuple(range(len(L.vertices))), L.facets
 
 
 def test_manifold_check_judges_each_link_shape_once():

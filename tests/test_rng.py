@@ -74,10 +74,7 @@ def test_shuffle_is_permutation_and_seeded():
     assert again == items
 
 
-def test_permutation_and_choice():
-    rng = Rng(11)
-    p = rng.permutation(10)
+def test_permutation_is_seeded():
+    p = Rng(11).permutation(10)
     assert sorted(p) == list(range(10))
-    assert rng.choice([42]) == 42
-    vals = {rng.choice([1, 2, 3]) for _ in range(100)}
-    assert vals == {1, 2, 3}
+    assert Rng(11).permutation(10) == p
