@@ -10,8 +10,8 @@ subface enumeration, and each count that crosses d-k+1 moves its k-face
 into or out of the sorted list of flippable faces.  A facet lies in one
 facet, itself, so the flippable d-faces ``candidates[d]`` are the facets:
 no separate facet set is kept.  Link vertices come from the 1-skeleton
-neighbour sets and are cached per face; a flip changes the link of S only
-if S lies inside F | R, so it drops those cache entries and no others.
+neighbour sets, and one rule, ``FlipState._replacement``, decides whether a
+flip is proper and what it puts in.
 ``bistellar_simplify`` anneals toward the lexicographically smallest
 f-vector, alternating cooling (f-reducing flips) with bounded heating bursts
 when progress stalls.
@@ -71,11 +71,9 @@ class FlipState:
     list ``candidates[i]`` of the flippable faces, those in exactly d-i+1
     facets.  ``candidates[d]`` is the facet list.  A flip at F with
     replacement R changes the count of a face S inside F | R by
-    |F - S| - |R - S| and leaves every other count alone.  The link
-    vertices of a face are cached; a flip drops the cache entry of every
-    non-empty proper subset of F | R, the only faces whose link it can
-    change.  A count is kept for every face, so the input's face bound is
-    checked against the face budget first.
+    |F - S| - |R - S| and leaves every other count alone.  A count is kept
+    for every face, so the input's face bound is checked against the face
+    budget first.
     """
 
     def __init__(self, K: SimplicialComplex, rng: Rng, record_trajectory: bool = False):
@@ -87,7 +85,6 @@ class FlipState:
         self.rng = rng
         self.count: dict[Face, int] = {}
         self.nbrs: dict[int, set[int]] = {}
-        self._links: dict[Face, Face] = {}
         self.max_label = max(K.vertices)
         self.round = 0
         self.trajectory: deque[FlipMove] | None = (
@@ -133,18 +130,16 @@ class FlipState:
     def _flip_counts(self, face: Face, replacement: Face) -> None:
         """Swap the star of ``face`` for the facets around ``replacement``.
 
-        Every non-empty proper subset S of U = face | replacement loses its
-        cached link, and its count moves by |face - S| - |replacement - S|,
-        which updates the f-vector, the candidate lists and, for edges, the
-        neighbour sets.
+        The count of every non-empty proper subset S of U = face |
+        replacement moves by |face - S| - |replacement - S|, which updates
+        the f-vector, the candidate lists and, for edges, the neighbour sets.
         """
         U = tuple(sorted(face + replacement))
         fs = set(face)
         deltas = _count_deltas(tuple(v in fs for v in U))
-        count, links, f, candidates = self.count, self._links, self.f, self.candidates
+        count, f, candidates = self.count, self.f, self.candidates
         d2 = self.d + 2
         for sub, delta in zip(_proper_subsets(U), deltas):
-            links.pop(sub, None)
             if not delta:
                 continue
             old = count.get(sub, 0)
@@ -172,11 +167,7 @@ class FlipState:
 
     def replacement_of(self, face: Face) -> Face:
         """Link vertices of a face: the v with face | {v} a face (the empty
-        tuple for a facet or a non-face), cached per face until a flip drops
-        the entry."""
-        rep = self._links.get(face)
-        if rep is not None:
-            return rep
+        tuple for a facet or a non-face)."""
         i = len(face) - 1
         if i == self.d or face not in self.count:
             return ()
@@ -188,20 +179,30 @@ class FlipState:
         if i and len(common) > self.d - i + 1:
             count = self.count
             common = [v for v in common if tuple(sorted(face + (v,))) in count]
-        rep = self._links[face] = tuple(sorted(common))
-        return rep
+        return tuple(sorted(common))
 
-    def is_proper(self, face: Face) -> bool:
-        """A flip is proper when it does not re-introduce an existing face."""
+    def _replacement(self, face: Face) -> Face | None:
+        """The face that the flip at ``face`` puts in, or None when the flip
+        is improper; StaleOption unless ``face`` is flippable.
+
+        A facet gets the fresh label ``max_label + 1``.  Any other i-face
+        puts in its link vertices, and is improper when they already span a
+        face.  Its star is always a flip bipyramid: the link of a flippable
+        i-face is a closed (d-i-1)-pseudomanifold with d-i+1 facets of d-i
+        vertices each, and every vertex lies in at least d-i of them, so
+        it has at most, hence exactly, d-i+1 vertices.
+        """
         i = len(face) - 1
         if self.count.get(face) != self.d - i + 1:
             raise StaleOption(f"{face} is not in exactly {self.d - i + 1} facets")
         if i == self.d:
-            return True  # stellar subdivision brings a genuinely new vertex
+            return (self.max_label + 1,)
         rep = self.replacement_of(face)
-        if len(rep) != self.d - i + 1:
-            return False  # star is not a flip bipyramid
-        return rep not in self.count
+        return None if rep in self.count else rep
+
+    def is_proper(self, face: Face) -> bool:
+        """A flip is proper when it does not re-introduce an existing face."""
+        return self._replacement(face) is not None
 
     # -- applying moves ----------------------------------------------------
 
@@ -210,21 +211,24 @@ class FlipState:
 
         ``replacement`` may pin the vertex set of the dual face; it is
         required only when replaying a recorded 0-move so the fresh vertex
-        gets the same label.
+        gets the same label, which must not be a vertex already.
         """
-        i = len(face) - 1
-        if not self.is_proper(face):
+        actual = self._replacement(face)
+        if actual is None:
             raise ImproperMove(f"flip at {face} would duplicate its replacement face")
-        if i == self.d:
-            if replacement is None:
-                replacement = (self.max_label + 1,)
+        if replacement is None or replacement == actual:
+            return self._apply(face, actual)
+        if len(face) <= self.d:
+            raise StaleOption(f"recorded replacement {replacement} no longer matches {actual}")
+        label = replacement[0] if len(replacement) == 1 else None
+        if type(label) is not int or label < 0 or (label,) in self.count:
+            raise ImproperMove(f"{replacement} is not one new vertex label to subdivide {face}")
+        return self._apply(face, replacement)
+
+    def _apply(self, face: Face, replacement: Face) -> FlipMove:
+        """Make the flip at ``face`` that puts in ``replacement``, unchecked."""
+        if len(face) > self.d:
             self.max_label = max(self.max_label, replacement[0])
-        else:
-            actual = self.replacement_of(face)
-            if replacement is None:
-                replacement = actual
-            elif replacement != actual:
-                raise StaleOption(f"recorded replacement {replacement} no longer matches {actual}")
         self._flip_counts(face, replacement)
         self.round += 1
         move = FlipMove(self.round, face, replacement, tuple(self.f))
@@ -252,8 +256,9 @@ class FlipState:
         for a in range(n):
             b = a + self.rng.randbelow(n - a)
             items[a], items[b] = items[b], items[a]
-            if self.is_proper(items[a]):
-                return self.apply_flip(items[a])
+            rep = self._replacement(items[a])
+            if rep is not None:
+                return self._apply(items[a], rep)
         return None
 
     def to_complex(self) -> SimplicialComplex:

@@ -216,10 +216,13 @@ MAX_PRIME = 2**31
 
 def _prime(coefficients) -> int:
     """The prime p < MAX_PRIME named by ``coefficients``, or InvalidSpec."""
-    try:
-        p = int(coefficients)
-    except (TypeError, ValueError):
-        p = 0
+    p = 0
+    if isinstance(coefficients, int) and not isinstance(coefficients, bool):
+        p = coefficients
+    elif isinstance(coefficients, str) and coefficients.isascii() and coefficients.isdigit():
+        # more digits than MAX_PRIME has is out of range, and int() refuses
+        # strings of thousands of digits
+        p = int(coefficients) if len(coefficients) <= len(str(MAX_PRIME)) else 0
     if not 2 <= p < MAX_PRIME or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
         raise InvalidSpec(
             f"coefficients must be Z, Q or a prime below 2^31, not {coefficients!r}"
@@ -288,9 +291,10 @@ def homology(K: SimplicialComplex, coefficients="Z", reduced: bool = False) -> H
     """Homology groups of K.
 
     ``coefficients`` is "Z" (integral, the default), "Q" (rational), or a
-    prime p < 2^31 for GF(p), as an int or a decimal string; anything else
-    raises InvalidSpec.  Over a field the torsion entries are empty and the Betti
-    numbers are field dimensions.
+    prime p < 2^31 for GF(p), as an int (not a bool) or a string of the
+    digits 0-9; anything else, a float included, raises InvalidSpec.  Over
+    a field the torsion entries are empty and the Betti numbers are field
+    dimensions.
     """
     d = K.dim
     f = K.f_vector()

@@ -2,8 +2,9 @@
 
 Two formats are supported:
 
-* text: one facet per line, whitespace-separated non-negative integers;
-  ``#`` starts a comment, blank lines are ignored;
+* text: one facet per line, whitespace-separated non-negative integers
+  written in ASCII decimal digits; ``#`` starts a comment, blank lines are
+  ignored;
 * JSON: an object ``{"facets": [[...], ...]}`` whose vertex labels are
   JSON integers (not floats, strings or booleans).
 
@@ -25,12 +26,17 @@ def parse_facet_text(text: str) -> list[list[int]]:
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
+        toks = line.split()
+        # int() would also take signs, underscores and non-ASCII digits
+        bad = [tok for tok in toks if not (tok.isascii() and tok.isdigit())]
+        if bad:
+            raise EmptyInput(
+                f"line {lineno}: vertex label {bad[0]!r} is not a non-negative integer of digits 0-9"
+            )
         try:
-            verts = [int(tok) for tok in line.split()]
-        except ValueError as exc:
+            verts = [int(tok) for tok in toks]
+        except ValueError as exc:  # thousands of digits
             raise EmptyInput(f"line {lineno}: {exc}") from None
-        if any(v < 0 for v in verts):
-            raise EmptyInput(f"line {lineno}: negative vertex label")
         if len(set(verts)) != len(verts):
             raise DuplicateVertexInFacet(len(facets), verts, line=lineno)
         facets.append(verts)

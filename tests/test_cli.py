@@ -302,6 +302,16 @@ def test_malformed_input_exit_65(tmp_path, capsys, arg):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "+4"])
+def test_facet_file_labels_that_are_not_ascii_digits_exit_65(tmp_path, capsys, token):
+    path = tmp_path / "bad.fct"
+    path.write_text(f"0 1 2\n0 1 {token}\n", encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 65
+    assert out == ""
+    assert err.startswith(f"plsphere: line 2: vertex label {token!r} is not")
+
+
 @pytest.mark.parametrize(
     "spec, form",
     [

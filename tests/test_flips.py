@@ -1,3 +1,5 @@
+import copy
+import re
 from itertools import combinations
 
 import pytest
@@ -7,6 +9,7 @@ from plsphere.complex_core import SimplicialComplex
 from plsphere.errors import ImproperMove, NotPseudomanifold, StaleOption
 from plsphere.flips import (
     AnnealingSchedule,
+    FlipMove,
     FlipState,
     bistellar_simplify,
     default_heat_weights,
@@ -100,7 +103,7 @@ def _assert_index_matches_scratch(state):
         assert state.candidates[k] == sorted(state.candidates[k])
         assert state.candidates[k] == flippable
         assert state.f[k] == len(faces)
-    # every face, cached or not, against link vertices read off the facets
+    # every face against link vertices read off the facets
     for face in count:
         link = {v for g in state.facets if set(face) <= set(g) for v in g}
         expected = () if len(face) == d + 1 else tuple(sorted(link - set(face)))
@@ -124,6 +127,88 @@ def test_incremental_index_matches_scratch_after_moves():
                 state.apply_flip(move.replacement)
                 assert set(state.facets) == before
                 _assert_index_matches_scratch(state)
+
+
+def _scratch_replacement(facets, faces, face, max_label):
+    """The properness rule read off the facet list alone: the replacement
+    of a flip at ``face``, or None when that flip is improper."""
+    d = len(facets[0]) - 1
+    i = len(face) - 1
+    if i == d:
+        return (max_label + 1,)
+    link = tuple(sorted({v for g in facets if set(face) <= set(g) for v in g} - set(face)))
+    # the star of a flippable face is a bipyramid, so the kernel never
+    # tests the size of the link
+    assert len(link) == d - i + 1, face
+    return None if link in faces else link
+
+
+def test_properness_and_scans_match_scratch_rule():
+    # after each random 0-, 1- or 2-move, every candidate of every dimension
+    # is judged as the scratch rule judges it, and the scan of each
+    # dimension picks the first face that rule calls proper, in the order
+    # its random draws give
+    for d, seed in ((3, 7), (4, 3)):
+        state = FlipState(generators.boundary_of_simplex(d + 1), Rng(seed))
+        outcomes = set()
+        for _ in range(40):
+            faces = set(_fresh_counts(state.facets))
+            for i in range(d + 1):
+                expected = {
+                    face: _scratch_replacement(state.facets, faces, face, state.max_label)
+                    for face in state.candidates[i]
+                }
+                for face, rep in expected.items():
+                    assert state.is_proper(face) == (rep is not None), face
+                    outcomes.add("facet" if i == d else "improper" if rep is None else "proper")
+                rng = Rng(0)
+                rng.s0, rng.s1 = state.rng.s0, state.rng.s1
+                items = state.candidates[i][:]
+                pick = None
+                for a in range(len(items)):
+                    b = a + rng.randbelow(len(items) - a)
+                    items[a], items[b] = items[b], items[a]
+                    if expected[items[a]] is not None:
+                        pick = (items[a], expected[items[a]])
+                        break
+                move = copy.deepcopy(state)._first_proper_flip(i)
+                assert (move and (move.face, move.replacement)) == pick, (d, i)
+            try:
+                state.random_move(move_dim=state.rng.randbelow(3))
+            except ImproperMove:
+                state.random_move(move_dim=0)
+        assert outcomes == {"facet", "improper", "proper"}, d
+
+
+def test_replay_rejects_a_pinned_stellar_label_that_is_not_new():
+    K = generators.boundary_of_simplex(4)
+    facet = (0, 1, 2, 3)
+    for label in ((4,), (2,), (5, 6), (), (-1,), ("a",)):
+        tampered = [FlipMove(1, facet, label, (6, 14, 16, 8))]
+        with pytest.raises(ImproperMove, match=re.escape(str(label))):
+            replay(K, tampered)
+    # a label not yet used is a new vertex, whether or not it is the next one
+    for label in ((5,), (9,)):
+        L = replay(K, [FlipMove(1, facet, label, (6, 14, 16, 8))])
+        assert L.f_vector() == (6, 14, 16, 8)
+        assert label[0] in L.vertices
+
+
+def test_rejected_moves_leave_the_state_alone():
+    state = FlipState(generators.boundary_of_simplex(4), Rng(0))
+    state.apply_flip((0, 1, 2, 3))  # puts in vertex 5
+    before = (dict(state.count), state.f_vector(), state.max_label, state.round)
+    for face, replacement, error in (
+        ((0, 1, 2, 4), (5,), ImproperMove),
+        ((0, 1, 2, 4), (2, 6), ImproperMove),
+        ((0, 4), None, ImproperMove),  # the triangle (1, 2, 3) is there
+        ((0, 1, 2), (3, 5), StaleOption),  # the recorded edge is (4, 5)
+        ((0, 1, 2, 3), None, StaleOption),  # no longer a facet
+    ):
+        with pytest.raises(error):
+            state.apply_flip(face, replacement)
+        assert (state.count, state.f_vector(), state.max_label, state.round) == before
+    assert state.apply_flip((0, 1, 2), (4, 5)).replacement == (4, 5)
 
 
 def test_flips_preserve_invariants():

@@ -14,7 +14,7 @@ from _oracles import (
     sparse_product,
 )
 from plsphere import generators
-from plsphere.errors import DimensionOutOfRange
+from plsphere.errors import DimensionOutOfRange, InvalidSpec
 from plsphere.homology import (
     SparseIntMatrix,
     boundary_matrix,
@@ -160,6 +160,15 @@ def test_projective_plane_homology():
     assert gf2.coefficients == "GF(2)"
     q = homology(K, "Q")
     assert q.betti == (1, 0, 0)
+
+
+def test_coefficients_name_a_prime_exactly():
+    K = generators.rp2_6()
+    for coefficients in (2.9, 2.0, 3.0, True, "2.0", " 3", "+3", "٣", "1_1", "3" * 5000, None):
+        with pytest.raises(InvalidSpec, match="coefficients must be Z, Q or a prime"):
+            homology(K, coefficients)
+    for coefficients in (3, "3", "0003"):
+        assert homology(K, coefficients).coefficients == "GF(3)"
 
 
 def test_reduced_homology():

@@ -25,6 +25,13 @@ def test_duplicate_vertex_names_its_line_and_facet():
     assert str(exc.value) == "facet #1 contains a duplicate vertex: [2, 2]"
 
 
+@pytest.mark.parametrize("token", ["1_0", "\u0663", "+4", "-1", "\uff11", "0x1", "1.0"])
+def test_vertex_labels_are_ascii_decimal_digits(token):
+    with pytest.raises(EmptyInput) as exc:
+        io.parse_facet_text(f"0 1 2\n# comment\n0 1 {token}\n")
+    assert str(exc.value).startswith(f"line 3: vertex label {token!r} is not")
+
+
 def test_parse_empty_rejected():
     with pytest.raises(EmptyInput):
         io.parse_facet_text("# nothing\n")
