@@ -10,7 +10,7 @@ checkable certificates.
 from .complex_core import HasseDiagram, SimplicialComplex, build_hasse
 from .flips import FlipState, bistellar_simplify, replay
 from .homology import HomologyGroups, SmithNormalForm, boundary_matrix, homology, smith_normal_form
-from .morse import MorseResult, Strategy, is_spherical, morse_spectrum, random_discrete_morse
+from .morse import MorseResult, Strategy, is_spherical, morse_spectrum, morse_vector, random_discrete_morse
 from .pi1 import GroupPresentation, pi1_presentation, tietze_simplify, triviality_verdict
 from .recognizer import (
     Answer,
@@ -47,6 +47,7 @@ __all__ = [
     "is_combinatorial_manifold",
     "is_spherical",
     "morse_spectrum",
+    "morse_vector",
     "pi1_presentation",
     "random_discrete_morse",
     "recognize",

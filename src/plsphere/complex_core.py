@@ -66,9 +66,13 @@ class SimplicialComplex:
             if len(set(f)) != len(f):
                 raise DuplicateVertexInFacet(i, raw)
             faces.add(f)
-        # a face is maximal iff no other input face contains it
+        # a face is maximal iff no other input face contains it; one of the
+        # largest size lies in no other, so pure input needs no test at all
+        top = max(map(len, faces))
+        if all(len(f) == top for f in faces):
+            return cls(faces)
         everything = cls(faces)
-        return cls(f for f in faces if len(everything.star(f)) == 1)
+        return cls(f for f in faces if len(f) == top or len(everything.star(f)) == 1)
 
     # -- basic queries ----------------------------------------------------
 

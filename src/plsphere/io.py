@@ -8,8 +8,9 @@ Two formats are supported:
 * JSON: an object ``{"facets": [[...], ...]}`` whose vertex labels are
   JSON integers (not floats, strings or booleans).
 
-Both reject duplicate vertices within a facet; negative labels are
-rejected when the complex is built.
+Both reject duplicate vertices within a facet, and integers of more than
+``MAX_LABEL_DIGITS`` digits; negative labels are rejected when the complex
+is built.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ import json
 
 from .complex_core import SimplicialComplex
 from .errors import DuplicateVertexInFacet, EmptyInput
+
+#: the longest integer read, CPython's default limit for ``int(str)``, so
+#: the same labels are read on every Python version
+MAX_LABEL_DIGITS = 4300
 
 
 def parse_facet_text(text: str) -> list[list[int]]:
@@ -33,10 +38,10 @@ def parse_facet_text(text: str) -> list[list[int]]:
             raise EmptyInput(
                 f"line {lineno}: vertex label {bad[0]!r} is not a non-negative integer of digits 0-9"
             )
-        try:
-            verts = [int(tok) for tok in toks]
-        except ValueError as exc:  # thousands of digits
-            raise EmptyInput(f"line {lineno}: {exc}") from None
+        longest = max(toks, key=len)
+        if len(longest) > MAX_LABEL_DIGITS:
+            raise EmptyInput(f"line {lineno}: vertex label of {len(longest)} digits is too long")
+        verts = [int(tok) for tok in toks]
         if len(set(verts)) != len(verts):
             raise DuplicateVertexInFacet(len(facets), verts, line=lineno)
         facets.append(verts)
@@ -47,7 +52,7 @@ def parse_facet_text(text: str) -> list[list[int]]:
 
 def parse_facet_json(text: str) -> list[list[int]]:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int)
     except RecursionError:
         raise EmptyInput("JSON input nested too deeply") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("facets"), list):
@@ -61,6 +66,13 @@ def parse_facet_json(text: str) -> list[list[int]]:
             raise DuplicateVertexInFacet(i, verts)
         facets.append(verts)
     return facets
+
+
+def _json_int(literal: str) -> int:
+    n = len(literal.lstrip("-"))
+    if n > MAX_LABEL_DIGITS:
+        raise EmptyInput(f"JSON integer of {n} digits is too long")
+    return int(literal)
 
 
 def read_complex(path: str) -> SimplicialComplex:

@@ -6,16 +6,20 @@ random vertex relabeling per run, then deterministic lexicographic picks).
 Runs never mutate the shared Hasse diagram; each run keeps private alive
 flags and coface counts.
 
+One run serves two callers.  ``random_discrete_morse`` keeps the matched
+pairs and critical faces of a run as a ``MorseResult``; ``morse_vector``
+keeps only its discrete Morse vector and builds no matching at all.
+
 A run depends only on (K, strategy, seed), so ``morse_spectrum`` splits its
 seeds into contiguous blocks, one per CPU, up to ``MAX_WORKERS``.  The
 parent has K build its Hasse diagram, then forks a child per block after
 the first, which inherits K and the diagram without pickling.  The parent
-runs the first block itself.  Each block counts its distinct vectors in
-order of first appearance, and each child sends back that count table,
-marshalled, over a pipe.  The parent adds the tables in seed order, so the
-spectrum is the same for any number of workers.  It forks nothing where
-fork is missing or unsafe: on macOS, and while the calling process runs
-more than one thread.
+runs the first block itself.  Each block counts the vectors that
+``morse_vector`` returns for its seeds, distinct ones in order of first
+appearance, and each child sends back that count table, marshalled, over a
+pipe.  The parent adds the tables in seed order, so the spectrum is the
+same for any number of workers.  It forks nothing where fork is missing or
+unsafe: on macOS, and while the calling process runs more than one thread.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import marshal
 import os
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -65,27 +70,11 @@ def is_collapsible_witness(vector: tuple[int, ...]) -> bool:
 def random_discrete_morse(K: SimplicialComplex, strategy: Strategy, seed: int) -> MorseResult:
     """One randomized collapse run; deterministic given (K, strategy, seed).
     The Hasse diagram is K's own, built on the first run."""
-    H = K.hasse()
-    rng = Rng(seed)
-    faces = H.faces
-    alive = bytearray(b"\x01") * H.n_nodes()
-    up_count = list(map(len, H.up))
     matching_nodes: list[tuple[int, int]] = []
-    critical_nodes: list[int] = []
-    if strategy is Strategy.RANDOM_RANDOM:
-        _collapse_random(H, rng, alive, up_count, matching_nodes, critical_nodes)
-    else:
-        _collapse_lex(
-            H, rng, strategy is Strategy.RANDOM_LEX_LAST,
-            alive, up_count, matching_nodes, critical_nodes,
-        )
-    critical_nodes.extend(nd for nd in H.level_range(0) if alive[nd])
-
-    vector = [0] * (H.dim + 1)
-    for nd in critical_nodes:
-        vector[len(faces[nd]) - 1] += 1
+    vector, critical_nodes = _run(K, strategy, seed, matching_nodes.append)
+    faces = K.hasse().faces
     return MorseResult(
-        vector=tuple(vector),
+        vector=vector,
         matching=[(faces[a], faces[b]) for a, b in matching_nodes],
         critical=[faces[nd] for nd in critical_nodes],
         seed=seed,
@@ -93,7 +82,36 @@ def random_discrete_morse(K: SimplicialComplex, strategy: Strategy, seed: int) -
     )
 
 
-def _collapse_random(H, rng, alive, up_count, matching, critical) -> None:
+def morse_vector(K: SimplicialComplex, strategy: Strategy, seed: int) -> tuple[int, ...]:
+    """The vector of ``random_discrete_morse(K, strategy, seed)``, from the
+    same run, but with no matching kept: the pairs go to a sink that holds
+    nothing, so no list of them is built."""
+    return _run(K, strategy, seed, deque(maxlen=0).append)[0]
+
+
+def _run(K, strategy, seed, pair) -> tuple[tuple[int, ...], list[int]]:
+    """The collapse run of (K, strategy, seed): hand each matched node pair
+    (sigma, tau) to ``pair`` in collapse order, and return the Morse vector
+    and the critical nodes."""
+    H = K.hasse()
+    rng = Rng(seed)
+    alive = bytearray(b"\x01") * H.n_nodes()
+    up_count = list(map(len, H.up))
+    critical: list[int] = []
+    if strategy is Strategy.RANDOM_RANDOM:
+        _collapse_random(H, rng, alive, up_count, pair, critical)
+    else:
+        _collapse_lex(H, rng, strategy is Strategy.RANDOM_LEX_LAST, alive, up_count, pair, critical)
+    critical.extend(nd for nd in H.level_range(0) if alive[nd])
+
+    faces = H.faces
+    vector = [0] * (H.dim + 1)
+    for nd in critical:
+        vector[len(faces[nd]) - 1] += 1
+    return tuple(vector), critical
+
+
+def _collapse_random(H, rng, alive, up_count, pair, critical) -> None:
     """Levels dim..1: collapse a uniform free face, else remove a uniform
     top face as critical.  ``top`` and ``free`` are swap-remove lists; they
     hold faces of different dimensions, so one position list serves both."""
@@ -120,7 +138,7 @@ def _collapse_random(H, rng, alive, up_count, matching, critical) -> None:
                     pos[last] = pos[sigma]
                 for y in down[sigma]:  # dimension d - 2: all still alive
                     up_count[y] -= 1
-                matching.append((sigma, tau))
+                pair((sigma, tau))
             elif top:
                 # no free face: declare a critical face of the top dimension
                 tau = top[randbelow(len(top))]
@@ -185,7 +203,7 @@ def _lex_orders(H, rng) -> tuple[list[int], list[list[int]]]:
     return rank, orders
 
 
-def _collapse_lex(H, rng, lex_last, alive, up_count, matching, critical) -> None:
+def _collapse_lex(H, rng, lex_last, alive, up_count, pair, critical) -> None:
     """Levels dim..1: collapse the lex-least (lex-last: greatest) free face
     under one random relabeling, else remove the lex-least (greatest) live
     top face as critical.  The heap holds ranks, negated for lex-last."""
@@ -211,7 +229,7 @@ def _collapse_lex(H, rng, lex_last, alive, up_count, matching, critical) -> None
                 alive[sigma] = 0
                 for y in down[sigma]:  # dimension d - 2: all still alive
                     up_count[y] -= 1
-                matching.append((sigma, tau))
+                pair((sigma, tau))
             else:
                 for tau in tops:
                     if alive[tau]:
@@ -293,6 +311,7 @@ def morse_spectrum(
     K: SimplicialComplex, strategy: Strategy, rounds: int, seed: int
 ) -> SpectrumResult:
     """Run seeds seed, seed+1, ... and aggregate identical Morse vectors.
+    Each run is ``morse_vector``'s: the spectrum builds no matchings.
 
     The seeds are split into ``w = _worker_count(rounds)`` contiguous
     blocks; block i holds seeds ``seed + rounds*i//w`` to ``seed +
@@ -372,12 +391,12 @@ def _available_cpus() -> int:
 
 
 def _run_block(K, strategy, first, stop) -> dict[tuple[int, ...], int]:
-    """The count of each vector of seeds first..stop-1, in order of first
-    appearance.  The run function is looked up as a module attribute, so a
-    wrapped or patched one is the one called."""
+    """The count of each ``morse_vector`` of seeds first..stop-1, in order
+    of first appearance.  ``morse_vector`` is looked up as a module
+    attribute, so a wrapped or patched one is the one called."""
     counts: dict[tuple[int, ...], int] = {}
     for s in range(first, stop):
-        v = random_discrete_morse(K, strategy, s).vector
+        v = morse_vector(K, strategy, s)
         counts[v] = counts.get(v, 0) + 1
     return counts
 

@@ -4,8 +4,9 @@ Everything but the last section is written from first principles
 (definitions, not the library's algorithms) so that test expectations are
 genuinely independent of the code under test.  The last section keeps the
 library's earlier homology and Tietze kernels, its earlier barycentric
-subdivision and its earlier manifold check, whose outputs the current ones
-must repeat exactly.
+subdivision, its earlier manifold check, its earlier spectrum and its
+earlier rule for maximal input faces, whose outputs the current ones must
+repeat exactly.
 """
 
 from dataclasses import replace
@@ -13,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import gcd
 
-from plsphere import recognizer
+from plsphere import morse, recognizer
 from plsphere.complex_core import SimplicialComplex
 from plsphere.homology import (
     HomologyGroups,
@@ -421,3 +422,21 @@ def is_combinatorial_manifold_per_face(K, cfg=None):
 
     summary = Answer.UNDECIDED if undecided else Answer.YES
     return recognizer.ManifoldReport(summary, failures, checked, hits, log)
+
+
+def maximal_faces_by_star(facet_lists):
+    """``SimplicialComplex.from_facets``'s earlier rule: one star test for
+    every distinct input face, in a complex of all of them."""
+    faces = {tuple(sorted(f)) for f in facet_lists}
+    everything = SimplicialComplex(faces)
+    return SimplicialComplex(f for f in faces if len(everything.star(f)) == 1)
+
+
+def morse_spectrum_serial(K, strategy, rounds, seed):
+    """``morse_spectrum``'s counts as one serial tally of
+    ``random_discrete_morse`` vectors, in order of first appearance."""
+    counts = {}
+    for s in range(seed, seed + rounds):
+        v = morse.random_discrete_morse(K, strategy, s).vector
+        counts[v] = counts.get(v, 0) + 1
+    return counts

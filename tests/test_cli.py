@@ -313,6 +313,23 @@ def test_facet_file_labels_that_are_not_ascii_digits_exit_65(tmp_path, capsys, t
 
 
 @pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("long.fct", f"0 1 2\n0 1 {'7' * 5000}\n", "line 2: vertex label of 5000 digits is too long"),
+        ("long.json", f'{{"facets": [[0, {"7" * 5000}]]}}', "JSON integer of 5000 digits is too long"),
+    ],
+    ids=["text", "json"],
+)
+def test_facet_file_labels_of_too_many_digits_exit_65(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 65
+    assert out == ""
+    assert err == f"plsphere: {message}\n"
+
+
+@pytest.mark.parametrize(
     "spec, form",
     [
         ("sd:1", "sd:<k>:<spec>"),

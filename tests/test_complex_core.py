@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
@@ -9,6 +9,7 @@ from _oracles import (
     euler_naive,
     f_vector_naive,
     link_naive,
+    maximal_faces_by_star,
 )
 from plsphere import complex_core, generators
 from plsphere.complex_core import SimplicialComplex, build_hasse
@@ -214,3 +215,28 @@ def test_complex_matches_oracles_on_random_inputs(facets):
         else:
             with pytest.raises(NotAFace):
                 K.link(f)
+
+
+@st.composite
+def nested_facet_lists(draw):
+    """Faces of mixed sizes where some lie in others and some repeat,
+    with their vertices in any order."""
+    tops = draw(st.lists(st.sets(st.integers(0, 6), min_size=1, max_size=5), min_size=1, max_size=4))
+    facets = [sorted(f) for f in tops]
+    for _ in range(draw(st.integers(0, 6))):
+        g = sorted(draw(st.sampled_from(facets)))
+        sub = draw(st.lists(st.sampled_from(g), min_size=1, max_size=len(g), unique=True))
+        facets.append(sub)
+    return draw(st.permutations(facets))
+
+
+@given(nested_facet_lists())
+@example([[0, 1, 2], [1, 2], [2, 1, 0], [3], [3, 4], [4, 3]])
+@example([[5], [5], [0, 5], [1, 2, 3], [3, 2], [0, 1]])
+@example([[3, 1], [1, 3], [2, 4], [0]])
+@settings(max_examples=200, deadline=None)
+def test_from_facets_keeps_the_faces_the_star_rule_keeps(facets):
+    K = SimplicialComplex.from_facets(facets)
+    expected = maximal_faces_by_star(facets)
+    assert K.facets == expected.facets
+    assert K.dim == expected.dim

@@ -32,6 +32,18 @@ def test_vertex_labels_are_ascii_decimal_digits(token):
     assert str(exc.value).startswith(f"line 3: vertex label {token!r} is not")
 
 
+def test_labels_of_too_many_digits_are_rejected():
+    limit = io.MAX_LABEL_DIGITS
+    assert io.parse_facet_text(f"0 {'9' * limit}\n") == [[0, int("9" * limit)]]
+    with pytest.raises(EmptyInput) as exc:
+        io.parse_facet_text(f"0 1\n0 {'1' * 5000} 2\n")
+    assert str(exc.value) == "line 2: vertex label of 5000 digits is too long"
+    assert io.parse_facet_json(f'{{"facets": [[0, {"9" * limit}]]}}') == [[0, int("9" * limit)]]
+    with pytest.raises(EmptyInput) as exc:
+        io.parse_facet_json(f'{{"facets": [[0, -{"1" * 5000}]]}}')
+    assert str(exc.value) == "JSON integer of 5000 digits is too long"
+
+
 def test_parse_empty_rejected():
     with pytest.raises(EmptyInput):
         io.parse_facet_text("# nothing\n")

@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from _oracles import betti_over_q
+from _oracles import betti_over_q, morse_spectrum_serial
 from plsphere import complex_core, generators, morse
 from plsphere.cli import resolve_complex
 from plsphere.errors import InconsistentMatching, PLSphereError
@@ -12,6 +12,7 @@ from plsphere.morse import (
     is_collapsible_witness,
     is_spherical,
     morse_spectrum,
+    morse_vector,
     random_discrete_morse,
     spectrum_tsv,
     verify_acyclic_matching,
@@ -160,6 +161,31 @@ def test_spectrum_on_projective_plane():
     assert res.counts.get((1, 1, 1), 0) > 100
 
 
+#: non-perfect vectors, the two perfect kinds, and (the perturbed sphere)
+#: vectors that differ from seed to seed under every strategy
+VECTOR_KINDS = (
+    "rp2_6", "dunce_hat", "saw_blade:2", "sd:1:bd_simplex:4", "simplex:6",
+    "perturbed_sphere:3:20:200:0:7",
+)
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+@pytest.mark.parametrize("spec", VECTOR_KINDS)
+def test_morse_vector_is_the_vector_of_the_full_run(spec, strategy):
+    K = resolve_complex(spec)
+    for seed in range(20):
+        assert morse_vector(K, strategy, seed) == random_discrete_morse(K, strategy, seed).vector
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_spectrum_is_a_tally_of_full_runs(monkeypatch, strategy, workers):
+    _use_workers(monkeypatch, workers)
+    for spec in ("rp2_6", "saw_blade:2", "perturbed_sphere:3:20:200:0:7"):
+        K = resolve_complex(spec)
+        res = morse_spectrum(K, strategy, rounds=30, seed=7)
+        assert list(res.counts.items()) == list(morse_spectrum_serial(K, strategy, 30, 7).items()), spec
+
 
 def _use_workers(monkeypatch, n):
     """Let ``morse_spectrum`` run min(rounds, n) workers."""
@@ -208,9 +234,9 @@ def test_spectrum_merges_blocks_in_seed_order(monkeypatch, workers):
     # run with a new vector every third seed pins the order of ``counts``
     def run(K, strategy, seed):
         k = (seed - 40) // 3
-        return MorseResult((1 + k, k, 0), [], [], seed, strategy)
+        return (1 + k, k, 0)
 
-    monkeypatch.setattr(morse, "random_discrete_morse", run)
+    monkeypatch.setattr(morse, "morse_vector", run)
     _use_workers(monkeypatch, workers)
     forks = _count_forks(monkeypatch)
     K = generators.simplex(2)
@@ -227,7 +253,7 @@ def test_spectrum_blocks_send_count_tables(monkeypatch, workers):
     # last third, so the merged order is the order of first appearance
     def run(K, strategy, seed):
         k = 2 if seed >= 2040 else seed % 2
-        return MorseResult((1 + k, k, 0), [], [], seed, strategy)
+        return (1 + k, k, 0)
 
     tables = []
 
@@ -239,7 +265,7 @@ def test_spectrum_blocks_send_count_tables(monkeypatch, workers):
 
         return wrapper
 
-    monkeypatch.setattr(morse, "random_discrete_morse", run)
+    monkeypatch.setattr(morse, "morse_vector", run)
     monkeypatch.setattr(morse, "_run_block", recorded(morse._run_block))
     monkeypatch.setattr(morse, "_read_block", recorded(morse._read_block))
     _use_workers(monkeypatch, workers)
@@ -254,9 +280,9 @@ def test_a_failed_worker_names_its_seeds(monkeypatch, capfd):
     def run(K, strategy, seed):
         if seed >= 8:
             raise RuntimeError("run failed")
-        return MorseResult((1, 0, 0), [], [], seed, strategy)
+        return (1, 0, 0)
 
-    monkeypatch.setattr(morse, "random_discrete_morse", run)
+    monkeypatch.setattr(morse, "morse_vector", run)
     _use_workers(monkeypatch, 3)
     with pytest.raises(PLSphereError, match=r"the worker for seeds 8\.\.11 failed \(exit status 1\)"):
         morse_spectrum(generators.simplex(2), Strategy.RANDOM_RANDOM, rounds=12, seed=0)
@@ -340,7 +366,7 @@ def test_spectrum_on_macos_forks_nothing(monkeypatch):
 
 
 def _failing_on(bad_seed, error=RuntimeError):
-    real = morse.random_discrete_morse
+    real = morse.morse_vector
 
     def run(K, strategy, seed, **kw):
         if seed == bad_seed:
@@ -352,7 +378,7 @@ def _failing_on(bad_seed, error=RuntimeError):
 
 def test_failing_child_block_raises(monkeypatch):
     # rounds 10 over 2 workers: seeds 100..104 in the parent, 105..109 in the child
-    monkeypatch.setattr(morse, "random_discrete_morse", _failing_on(107))
+    monkeypatch.setattr(morse, "morse_vector", _failing_on(107))
     _use_workers(monkeypatch, 2)
     with pytest.raises(PLSphereError, match="105..109"):
         morse_spectrum(generators.rp2_6(), Strategy.RANDOM_RANDOM, rounds=10, seed=100)
@@ -360,7 +386,7 @@ def test_failing_child_block_raises(monkeypatch):
 
 @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
 def test_failing_parent_block_reaps_children(monkeypatch, error):
-    monkeypatch.setattr(morse, "random_discrete_morse", _failing_on(101, error))
+    monkeypatch.setattr(morse, "morse_vector", _failing_on(101, error))
     _use_workers(monkeypatch, 3)
     with pytest.raises(error):
         morse_spectrum(generators.rp2_6(), Strategy.RANDOM_RANDOM, rounds=10, seed=100)
