@@ -24,7 +24,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import isfinite
 
 from .complex_core import Face, SimplicialComplex, check_capacity
@@ -34,9 +34,10 @@ from .rng import Rng
 TRAJECTORY_BUFFER = 10**6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlipMove:
-    """One applied flip, enough to replay it deterministically."""
+    """One applied flip, enough to replay it deterministically.  Slotted:
+    a flip stage keeps up to ``TRAJECTORY_BUFFER`` of them."""
 
     round: int
     face: Face
@@ -398,9 +399,8 @@ def bistellar_simplify(
         best_facets = state.facets[:]
         best_len = state.round
 
-    moves = tuple(state.trajectory)
-    dropped = state.round - len(moves)
-    kept = moves[: max(0, best_len - dropped)]
+    dropped = state.round - len(state.trajectory)
+    kept = tuple(islice(state.trajectory, max(0, best_len - dropped)))
     return SimplifyResult(
         complex=SimplicialComplex(best_facets),
         trajectory=kept,

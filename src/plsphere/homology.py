@@ -1,6 +1,6 @@
 """Integer simplicial homology via elimination-based Smith normal form.
 
-Boundary matrices are kept sparse (dict-of-dict rows plus column indexes).
+Boundary matrices are kept sparse (dict rows plus sorted column lists).
 One elimination serves Z and GF(p): it walks the rows once, in index
 order, and pivots each row on its unit entry in the column with the fewest
 rows.  Over Z the usually tiny residual of rows without a +-1 entry is
@@ -24,6 +24,7 @@ over Z.  Over GF(p) every pivot is a unit.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -32,7 +33,15 @@ from .errors import DimensionOutOfRange, InvalidSpec
 
 
 class SparseIntMatrix:
-    """Sparse integer matrix; no explicit zeros are stored."""
+    """Sparse integer matrix; no explicit zeros are stored.
+
+    ``rows[r]`` maps the columns of row r to their entries, and
+    ``col_rows[c]`` lists the rows whose entry in column c is non-zero,
+    each once, in increasing order, so a row is found by bisection.  A
+    list, not a set: an empty set alone costs 216 bytes.  A row is
+    inserted only when its entry is new and removed when its entry
+    vanishes.
+    """
 
     __slots__ = ("nrows", "ncols", "rows", "col_rows")
 
@@ -40,15 +49,18 @@ class SparseIntMatrix:
         self.nrows = nrows
         self.ncols = ncols
         self.rows: list[dict[int, int]] = [dict() for _ in range(nrows)]
-        self.col_rows: list[set[int]] = [set() for _ in range(ncols)]
+        self.col_rows: list[list[int]] = [[] for _ in range(ncols)]
 
     def set(self, r: int, c: int, v: int) -> None:
+        row = self.rows[r]
         if v:
-            self.rows[r][c] = v
-            self.col_rows[c].add(r)
-        elif c in self.rows[r]:
-            del self.rows[r][c]
-            self.col_rows[c].discard(r)
+            if c not in row:
+                insort(self.col_rows[c], r)
+            row[c] = v
+        elif c in row:
+            del row[c]
+            rs = self.col_rows[c]
+            del rs[bisect_left(rs, r)]
 
     def get(self, r: int, c: int) -> int:
         return self.rows[r].get(c, 0)
@@ -59,7 +71,7 @@ class SparseIntMatrix:
     def copy(self) -> "SparseIntMatrix":
         M = SparseIntMatrix(self.nrows, self.ncols)
         M.rows = [dict(row) for row in self.rows]
-        M.col_rows = [set(s) for s in self.col_rows]
+        M.col_rows = [rs[:] for rs in self.col_rows]
         return M
 
 
@@ -96,7 +108,7 @@ def boundary_matrix(K: SimplicialComplex, k: int, *, _cleared=()) -> SparseIntMa
         for i in range(len(face)):
             c = lo_index[face[:i] + face[i + 1:]]
             row[c] = sign
-            col_rows[c].add(r)
+            col_rows[c].append(r)
             sign = -sign
     return M
 
@@ -128,17 +140,26 @@ def _eliminate(M: SparseIntMatrix, p: int = 0) -> list[int]:
             for k, v in prow.items():
                 if k == c:
                     continue
-                new = row2.get(k, 0) - f * v
+                old = row2.get(k)
+                if old is None:
+                    # f and v are non-zero (mod p), so their product is too
+                    row2[k] = -f * v % p if p else -f * v
+                    insort(col_rows[k], r2)
+                    continue
+                new = old - f * v
                 if p:
                     new %= p
                 if new:
                     row2[k] = new
-                    col_rows[k].add(r2)
-                elif k in row2:
+                else:
                     del row2[k]
-                    col_rows[k].discard(r2)
+                    rs = col_rows[k]
+                    del rs[bisect_left(rs, r2)]
+        # each row before r is retired or left for the dense step, so r is
+        # at or near the front of each of its sorted columns
         for k in prow:
-            col_rows[k].discard(r)
+            if k != c:
+                col_rows[k].remove(r)
         col_rows[c].clear()
         rows[r] = {}
         pivots.append(c)
@@ -193,11 +214,17 @@ def _residual(W: SparseIntMatrix) -> list[int]:
     return _diagonal([[row.get(c, 0) for c in cols] for row in live])
 
 
+def _smith_in_place(M: SparseIntMatrix) -> SmithNormalForm:
+    """Elementary divisors of M, reducing M itself: unit pivots, then the
+    diagonal of the rest."""
+    units = len(_eliminate(M))
+    return SmithNormalForm((1,) * units + tuple(_residual(M)))
+
+
 def smith_normal_form(M: SparseIntMatrix) -> SmithNormalForm:
-    """Elementary divisors of M: unit pivots, then the diagonal of the rest."""
-    W = M.copy()
-    units = len(_eliminate(W))
-    return SmithNormalForm((1,) * units + tuple(_residual(W)))
+    """Elementary divisors of M.  M is left as it is: this reduces a copy,
+    so it needs twice M's memory."""
+    return _smith_in_place(M.copy())
 
 
 def rank_mod_p(M: SparseIntMatrix, p: int) -> int:
@@ -295,6 +322,9 @@ def homology(K: SimplicialComplex, coefficients="Z", reduced: bool = False) -> H
     digits 0-9; anything else, a float included, raises InvalidSpec.  Over
     a field the torsion entries are empty and the Betti numbers are field
     dimensions.
+
+    The maps are built, reduced in place and dropped one at a time, from
+    the top down, so only one boundary matrix is alive at any moment.
     """
     d = K.dim
     f = K.f_vector()
@@ -311,6 +341,7 @@ def homology(K: SimplicialComplex, coefficients="Z", reduced: bool = False) -> H
         M = boundary_matrix(K, k, _cleared=cleared)
         cleared = set(_eliminate(M, p))
         rest = [] if p else _residual(M)
+        del M  # so the next map is built with this one freed
         ranks[k] = len(cleared) + len(rest)
         if coefficients == "Z":
             torsion[k - 1] = tuple(sorted(q for t in rest if t > 1 for q in _prime_powers(t)))

@@ -14,7 +14,7 @@ from enum import Enum
 
 from .complex_core import SimplicialComplex
 from .errors import DimensionOutOfRange, InvalidSpec, NotConnected
-from .homology import SparseIntMatrix, smith_normal_form
+from .homology import SparseIntMatrix, _smith_in_place
 from .rng import Rng
 
 DEFAULT_BUDGET = 10**6
@@ -66,8 +66,12 @@ class GroupPresentation:
         return M
 
     def abelianization(self) -> tuple[int, tuple[int, ...]]:
-        """(free rank, cyclic torsion orders) of the abelianized group."""
-        snf = smith_normal_form(self.exponent_matrix())
+        """(free rank, cyclic torsion orders) of the abelianized group.
+
+        The exponent matrix is built here and reduced in place, so no
+        second copy of it is made.
+        """
+        snf = _smith_in_place(self.exponent_matrix())
         return self.generators - snf.rank, snf.torsion()
 
     def export_text(self) -> str:

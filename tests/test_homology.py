@@ -1,4 +1,6 @@
+import gc
 import importlib
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,15 +15,18 @@ from _oracles import (
     rank_over_q,
     sparse_product,
 )
-from plsphere import generators
+from plsphere import cli, generators
 from plsphere.errors import DimensionOutOfRange, InvalidSpec
 from plsphere.homology import (
     SparseIntMatrix,
+    _eliminate,
+    _residual,
     boundary_matrix,
     homology,
     rank_mod_p,
     smith_normal_form,
 )
+from plsphere.pi1 import pi1_presentation
 from plsphere.rng import Rng
 
 # ``plsphere.homology`` as an attribute of the package is the function
@@ -73,6 +78,35 @@ def test_boundary_matrix_matches_oracle(small_corpus):
     for name, K in small_corpus.items():
         for k in range(1, K.dim + 1):
             assert _to_dense(boundary_matrix(K, k)) == dense_boundary(K.facets, k), (name, k)
+
+
+def _column_index_holds(M):
+    """``col_rows[c]`` lists, in increasing order and once each, exactly
+    the rows whose dict holds c."""
+    for c, listed in enumerate(M.col_rows):
+        assert listed == [r for r, row in enumerate(M.rows) if c in row], c
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_column_index_follows_set_and_eliminate(p):
+    rng = Rng(77 + p)
+    for _ in range(60):
+        m, n = 1 + rng.randbelow(7), 1 + rng.randbelow(7)
+        M = SparseIntMatrix(m, n)
+        for _ in range(rng.randbelow(3 * m * n)):
+            # zeros (and, over GF(p), multiples of p) delete an entry
+            v = rng.randbelow(7) - 3
+            M.set(rng.randbelow(m), rng.randbelow(n), v % p if p else v)
+            _column_index_holds(M)
+        _eliminate(M, p)
+        _column_index_holds(M)
+
+
+def test_smith_normal_form_leaves_its_argument():
+    M = boundary_matrix(generators.rp2_6(), 2)
+    rows, cols = [dict(row) for row in M.rows], [rs[:] for rs in M.col_rows]
+    assert smith_normal_form(M).divisors == (1,) * 9 + (2,)
+    assert (M.rows, M.col_rows) == (rows, cols)
 
 
 def test_snf_simple_cases():
@@ -250,3 +284,49 @@ def test_cleared_rows_are_the_unit_pivots_of_the_map_above(corpus, monkeypatch):
                 dense_steps += any(M.rows)
     # rp2_6 over Z leaves a row without a unit, so a dense pivot was seen
     assert dense_steps
+
+
+def _traced(fn):
+    """(bytes still allocated when ``fn`` returns, peak bytes during it)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def sd1_bd5():
+    K = cli.resolve_complex("sd:1:bd_simplex:5")
+    for k in range(K.dim + 1):
+        K.faces(k)  # cached, so no face list counts toward a peak below
+    return K
+
+
+def test_abelianization_reduces_its_exponent_matrix_in_place(sd1_bd5):
+    """A copy of the exponent matrix would double the peak (2.0 when the
+    abelianization went through ``smith_normal_form``)."""
+    P = pi1_presentation(sd1_bd5)
+    held = []
+    size, _ = _traced(lambda: held.append(P.exponent_matrix()))
+    held.clear()
+    _, peak = _traced(P.abelianization)
+    assert peak <= 1.2 * size, peak / size
+
+
+def test_homology_keeps_one_boundary_map_alive(sd1_bd5):
+    """The peak of ``homology`` stays near that of the top map alone (2.1
+    times it when each map was still bound while the next was built, and
+    set column indexes dominated)."""
+    d = sd1_bd5.dim
+
+    def top_map():
+        M = boundary_matrix(sd1_bd5, d)
+        _eliminate(M)
+        _residual(M)
+
+    _, alone = _traced(top_map)
+    _, peak = _traced(lambda: homology(sd1_bd5, "Z"))
+    assert peak <= 1.5 * alone, peak / alone

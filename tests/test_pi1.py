@@ -4,6 +4,7 @@ from _oracles import tietze_simplify_list
 from plsphere import generators, homology
 from plsphere.complex_core import SimplicialComplex
 from plsphere.errors import DimensionOutOfRange, NotConnected
+from plsphere.homology import smith_normal_form
 from plsphere.pi1 import (
     GroupPresentation,
     Verdict,
@@ -12,6 +13,7 @@ from plsphere.pi1 import (
     tietze_simplify,
     triviality_verdict,
 )
+from plsphere.rng import Rng
 
 G3 = GroupPresentation(2, ((1, 2, 1, -2, -1, -2), (1, 1, 1, -2, -2)))
 
@@ -129,6 +131,30 @@ def test_abelianization_matches_h1(small_corpus):
         hg = homology(K)
         assert rank == hg.betti[1], name
         assert tuple(sorted(torsion)) == _as_cyclic(hg.torsion[1]), name
+
+
+def _random_presentation(rng):
+    n = 1 + rng.randbelow(5)
+    relators = []
+    for _ in range(rng.randbelow(7)):
+        word = [(1 + rng.randbelow(n)) * (1 if rng.randbelow(2) else -1) for _ in range(rng.randbelow(9))]
+        relators.append(free_reduce(word))
+    return GroupPresentation(n, tuple(relators))
+
+
+def test_abelianization_is_the_snf_of_the_exponent_matrix():
+    """The in-place reduction agrees with the public copying path."""
+    rp2 = generators.rp2_6()
+    presentations = [
+        pi1_presentation(K, base_tree_seed=seed)
+        for K in (rp2, generators.suspension(rp2), generators.dunce_hat(), generators.saw_blade(2))
+        for seed in range(3)
+    ]
+    rng = Rng(2014)
+    presentations += [_random_presentation(rng) for _ in range(300)]
+    for P in presentations:
+        snf = smith_normal_form(P.exponent_matrix())
+        assert P.abelianization() == (P.generators - snf.rank, snf.torsion()), P
 
 
 def _as_cyclic(prime_powers):
