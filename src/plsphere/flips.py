@@ -15,34 +15,131 @@ flip is proper and what it puts in.
 ``bistellar_simplify`` anneals toward the lexicographically smallest
 f-vector, alternating cooling (f-reducing flips) with bounded heating bursts
 when progress stalls.
+
+A recording state keeps its moves flat, with no object per move: the d+2
+vertex labels of each face and its replacement in one list, the face's size
+in one byte.  That is all a move needs, since a flip at a face of a given
+size changes the f-vector by a fixed amount (``_f_change``).  A
+``Trajectory`` reads them back as ``FlipMove``s.
 """
 
 from __future__ import annotations
 
 import sys
 from bisect import bisect_left, insort
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, islice
-from math import isfinite
+from itertools import chain, combinations
+from math import comb, isfinite
+from operator import eq
 
 from .complex_core import Face, SimplicialComplex, check_capacity
 from .errors import ImproperMove, InvalidSpec, NotPseudomanifold, StaleOption
 from .rng import Rng
 
+#: The most recent moves that a recording ``FlipState`` keeps.  A longer run
+#: drops its first moves, so its trajectory is not replayable.  A kept move
+#: costs d+2 list slots and one byte, about 54 B per round in dimension 3.
 TRAJECTORY_BUFFER = 10**6
 
 
 @dataclass(frozen=True, slots=True)
 class FlipMove:
-    """One applied flip, enough to replay it deterministically.  Slotted:
-    a flip stage keeps up to ``TRAJECTORY_BUFFER`` of them."""
+    """One applied flip, enough to replay it deterministically.  Built for
+    the caller on demand; trajectories store their moves flat."""
 
     round: int
     face: Face
     replacement: Face
     f_after: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _f_change(d: int, size: int) -> tuple[int, ...]:
+    """The change of the f-vector of a d-complex under a flip at a face F of
+    ``size`` vertices.  Its replacement R has d+2-size.  The flip adds R | T
+    for every proper subset T of F and removes F | T for every proper subset
+    T of R; the faces of at most d+1 vertices among these are exactly those
+    with T proper."""
+    rep = d + 2 - size
+    return tuple(
+        (comb(size, k + 1 - rep) if k + 1 >= rep else 0)
+        - (comb(rep, k + 1 - size) if k + 1 >= size else 0)
+        for k in range(d + 1)
+    )
+
+
+def _f_moved(f: tuple[int, ...], sizes: bytearray, stop: int) -> tuple[int, ...]:
+    """The f-vector ``f`` after the moves whose face sizes are ``sizes[:stop]``."""
+    d = len(f) - 1
+    out = list(f)
+    for size in range(1, d + 2):
+        n = sizes.count(size, 0, stop)
+        if n:
+            for k, x in enumerate(_f_change(d, size)):
+                out[k] += n * x
+    return tuple(out)
+
+
+class Trajectory(Sequence):
+    """Consecutive moves of a flip run, a read-only sequence of ``FlipMove``s.
+
+    Stored flat: per move, ``labels`` holds the vertex labels of its face and
+    then of its replacement (d+2 in all), and ``sizes`` the face's size.  A
+    ``FlipMove`` is rebuilt on access.  Its round counts on from
+    ``first_round``, and its f-vector on from ``f_before``, the f-vector
+    before the first move, by one ``_f_change`` per move.  A trajectory equals any
+    tuple or trajectory of the same moves, so an empty one equals ``()``.
+    Slices with step 1 are trajectories; other slices are tuples.
+    """
+
+    __slots__ = ("first_round", "_f_before", "_labels", "_sizes")
+
+    def __init__(
+        self, first_round: int, f_before: tuple[int, ...], labels: list[int], sizes: bytearray
+    ):
+        self.first_round = first_round
+        self._f_before = f_before
+        self._labels = labels
+        self._sizes = sizes
+
+    def __len__(self) -> int:
+        return len(self._sizes)
+
+    def __iter__(self):
+        labels, f = self._labels, self._f_before
+        d = len(f) - 1
+        changes = [()] + [_f_change(d, size) for size in range(1, d + 2)]
+        at = 0
+        for j, size in enumerate(self._sizes, self.first_round):
+            f = tuple(map(int.__add__, f, changes[size]))
+            yield FlipMove(j, tuple(labels[at:at + size]), tuple(labels[at + size:at + d + 2]), f)
+            at += d + 2
+
+    def __getitem__(self, key):
+        if not isinstance(key, slice):
+            i = range(len(self))[key]
+            return next(iter(self[i:i + 1]))
+        start, stop, step = key.indices(len(self))
+        if step != 1:
+            return tuple(self)[key]
+        stop = max(start, stop)
+        width = len(self._f_before) + 1
+        return Trajectory(
+            self.first_round + start,
+            _f_moved(self._f_before, self._sizes, start),
+            self._labels[start * width:stop * width],
+            self._sizes[start:stop],
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Trajectory, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"<Trajectory of {len(self)} moves from round {self.first_round}>"
 
 
 def _proper_subsets(U: Face):
@@ -75,6 +172,12 @@ class FlipState:
     |F - S| - |R - S| and leaves every other count alone.  A count is kept
     for every face, so the input's face bound is checked against the face
     budget first.
+
+    With ``record_trajectory`` it also keeps the last ``TRAJECTORY_BUFFER``
+    moves, flat as a ``Trajectory`` stores them, until ``take_trajectory``
+    hands them over.  Moves past the buffer are dropped from the front, by a
+    start offset that is compacted away once it exceeds a sixteenth of the
+    buffer, so a long run holds at most 1.0625 buffers.
     """
 
     def __init__(self, K: SimplicialComplex, rng: Rng, record_trajectory: bool = False):
@@ -88,9 +191,10 @@ class FlipState:
         self.nbrs: dict[int, set[int]] = {}
         self.max_label = max(K.vertices)
         self.round = 0
-        self.trajectory: deque[FlipMove] | None = (
-            deque(maxlen=TRAJECTORY_BUFFER) if record_trajectory else None
-        )
+        self._keep = TRAJECTORY_BUFFER if record_trajectory else None
+        self._labels: list[int] = []
+        self._sizes = bytearray()
+        self._dropped = 0  # moves at the front of the buffers, past the last _keep
         count = self.count
         for g in K.facets:
             for sub in _proper_subsets(g):
@@ -107,6 +211,7 @@ class FlipState:
                 self._add_edge(*sub)
         for cands in self.candidates:
             cands.sort()
+        self._f_start = tuple(self.f)  # before the first move in the buffers
 
     @property
     def facets(self) -> list[Face]:
@@ -232,10 +337,43 @@ class FlipState:
             self.max_label = max(self.max_label, replacement[0])
         self._flip_counts(face, replacement)
         self.round += 1
-        move = FlipMove(self.round, face, replacement, tuple(self.f))
-        if self.trajectory is not None:
-            self.trajectory.append(move)
-        return move
+        if self._keep is not None:
+            self._record(face, replacement)
+        return FlipMove(self.round, face, replacement, tuple(self.f))
+
+    def _record(self, face: Face, replacement: Face) -> None:
+        self._labels.extend(face)
+        self._labels.extend(replacement)
+        self._sizes.append(len(face))
+        if len(self._sizes) - self._dropped > self._keep:
+            self._dropped += 1
+            if self._dropped > self._keep >> 4:
+                n = self._dropped
+                self._f_start = _f_moved(self._f_start, self._sizes, n)
+                del self._labels[: n * (self.d + 2)]
+                del self._sizes[:n]
+                self._dropped = 0
+
+    def take_trajectory(self, last_round: int) -> Trajectory:
+        """Hand over the kept moves up to round ``last_round``; the state
+        records no more moves.  The trajectory starts at round 1 unless the
+        buffer dropped moves."""
+        kept = len(self._sizes) - self._dropped
+        first = self.round - kept + 1
+        start = self._dropped
+        stop = start + max(0, min(kept, last_round - first + 1))
+        labels, sizes, width = self._labels, self._sizes, self.d + 2
+        f_before = _f_moved(self._f_start, sizes, start)
+        # trimmed in place, as a copy of the window would double a full
+        # buffer for a moment; so would one slice deletion of the tail,
+        # which first copies the references it drops
+        while len(labels) > stop * width:
+            del labels[max(stop * width, len(labels) - 4096):]
+        del labels[: start * width]
+        del sizes[stop:]
+        del sizes[:start]
+        self._keep, self._labels, self._sizes, self._dropped = None, [], bytearray(), 0
+        return Trajectory(first, f_before, labels, sizes)
 
     def random_move(self, move_dim: int) -> FlipMove:
         """Apply a uniformly random proper ``move_dim``-move.
@@ -250,16 +388,19 @@ class FlipState:
 
     def _first_proper_flip(self, i: int) -> FlipMove | None:
         """Apply the first proper flip at an i-face in random order, if any."""
-        # incremental Fisher-Yates on a copy of the sorted candidates: pay
-        # random draws only for the faces tried
-        items = self.candidates[i][:]
+        # incremental Fisher-Yates over the sorted candidates, which stay as
+        # they are: ``moved`` holds the slots a swap has changed, and random
+        # draws are paid only for the faces tried
+        items = self.candidates[i]
+        moved: dict[int, Face] = {}
         n = len(items)
         for a in range(n):
             b = a + self.rng.randbelow(n - a)
-            items[a], items[b] = items[b], items[a]
-            rep = self._replacement(items[a])
+            face = moved.get(b, items[b])
+            moved[b] = moved.get(a, items[a])
+            rep = self._replacement(face)
             if rep is not None:
-                return self._apply(items[a], rep)
+                return self._apply(face, rep)
         return None
 
     def to_complex(self) -> SimplicialComplex:
@@ -305,8 +446,16 @@ class AnnealingSchedule:
 
 @dataclass
 class SimplifyResult:
+    """The best complex of a run and the moves that reach it from the input.
+
+    ``trajectory`` is the ``Trajectory`` of the moves up to the best
+    complex, as far as the last ``TRAJECTORY_BUFFER`` moves of the run hold
+    them.  ``replayable`` says that none was dropped, so ``replay`` of the
+    input along it gives ``complex``.
+    """
+
     complex: SimplicialComplex
-    trajectory: tuple[FlipMove, ...]
+    trajectory: Trajectory
     reached_simplex_boundary: bool
     rounds: int
     best_f: tuple[int, ...]
@@ -399,15 +548,14 @@ def bistellar_simplify(
         best_facets = state.facets[:]
         best_len = state.round
 
-    dropped = state.round - len(state.trajectory)
-    kept = tuple(islice(state.trajectory, max(0, best_len - dropped)))
+    trajectory = state.take_trajectory(best_len)
     return SimplifyResult(
         complex=SimplicialComplex(best_facets),
-        trajectory=kept,
+        trajectory=trajectory,
         reached_simplex_boundary=best_f[0] == best_f[-1] == K.dim + 2,
         rounds=state.round,
         best_f=best_f,
-        replayable=dropped == 0,
+        replayable=trajectory.first_round == 1,
         seed=seed,
     )
 

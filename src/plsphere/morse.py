@@ -29,7 +29,6 @@ import marshal
 import os
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,15 +83,15 @@ def random_discrete_morse(K: SimplicialComplex, strategy: Strategy, seed: int) -
 
 def morse_vector(K: SimplicialComplex, strategy: Strategy, seed: int) -> tuple[int, ...]:
     """The vector of ``random_discrete_morse(K, strategy, seed)``, from the
-    same run, but with no matching kept: the pairs go to a sink that holds
-    nothing, so no list of them is built."""
-    return _run(K, strategy, seed, deque(maxlen=0).append)[0]
+    same run, but with no matching kept: no pair is handed on, so no pair
+    tuple is built."""
+    return _run(K, strategy, seed, None)[0]
 
 
 def _run(K, strategy, seed, pair) -> tuple[tuple[int, ...], list[int]]:
     """The collapse run of (K, strategy, seed): hand each matched node pair
-    (sigma, tau) to ``pair`` in collapse order, and return the Morse vector
-    and the critical nodes."""
+    (sigma, tau) to ``pair`` in collapse order, unless ``pair`` is None, and
+    return the Morse vector and the critical nodes."""
     H = K.hasse()
     rng = Rng(seed)
     alive = bytearray(b"\x01") * H.n_nodes()
@@ -138,7 +137,8 @@ def _collapse_random(H, rng, alive, up_count, pair, critical) -> None:
                     pos[last] = pos[sigma]
                 for y in down[sigma]:  # dimension d - 2: all still alive
                     up_count[y] -= 1
-                pair((sigma, tau))
+                if pair is not None:
+                    pair((sigma, tau))
             elif top:
                 # no free face: declare a critical face of the top dimension
                 tau = top[randbelow(len(top))]
@@ -229,7 +229,8 @@ def _collapse_lex(H, rng, lex_last, alive, up_count, pair, critical) -> None:
                 alive[sigma] = 0
                 for y in down[sigma]:  # dimension d - 2: all still alive
                     up_count[y] -= 1
-                pair((sigma, tau))
+                if pair is not None:
+                    pair((sigma, tau))
             else:
                 for tau in tops:
                     if alive[tau]:

@@ -129,7 +129,8 @@ def pi1_presentation(K: SimplicialComplex, base_tree_seed: int = 0) -> GroupPres
 
     relators = []
     for a, b, c in K.faces(2):
-        w = free_reduce(letter(a, b) + letter(b, c) + letter(c, a))
+        # three distinct edges give distinct generators: w is reduced
+        w = letter(a, b) + letter(b, c) + letter(c, a)
         if w:
             relators.append(w)
     return GroupPresentation(len(gen_index), tuple(relators))
@@ -214,8 +215,9 @@ def tietze_simplify(
     if effort_limit <= 0:
         raise InvalidSpec(f"the Tietze budget must be positive, not {effort_limit}")
     # relators by their index in P; the dict keeps their order, since a
-    # relator is only ever dropped or replaced where it stands
-    rel = {i: free_reduce(w) for i, w in enumerate(P.relators)}
+    # relator is only ever dropped or replaced where it stands.  P's
+    # relators are freely reduced tuples, which ``GroupPresentation`` checks
+    rel = dict(enumerate(P.relators))
     # generator -> ids of the relators that hold it
     occ: dict[int, set[int]] = {g: set() for g in range(1, P.generators + 1)}
     for i, w in rel.items():

@@ -4,18 +4,27 @@ Everything but the last section is written from first principles
 (definitions, not the library's algorithms) so that test expectations are
 genuinely independent of the code under test.  The last section keeps the
 library's earlier homology and Tietze kernels, its earlier barycentric
-subdivision, its earlier manifold check, its earlier spectrum and its
-earlier rule for maximal input faces, whose outputs the current ones must
-repeat exactly.
+subdivision, its earlier manifold check, its earlier spectrum, its earlier
+rule for maximal input faces and its earlier trajectory recording, whose
+outputs the current ones must repeat exactly.
 """
 
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from math import gcd
 
 from plsphere import morse, recognizer
 from plsphere.complex_core import SimplicialComplex
+from plsphere.flips import (
+    AnnealingSchedule,
+    FlipMove,
+    FlipState,
+    _cooling_move,
+    _heating_move,
+    default_heat_weights,
+)
 from plsphere.homology import (
     HomologyGroups,
     _prime,
@@ -32,6 +41,7 @@ from plsphere.pi1 import (
     _try_subword,
     free_reduce,
 )
+from plsphere.rng import Rng
 
 
 def all_faces(facets):
@@ -440,3 +450,44 @@ def morse_spectrum_serial(K, strategy, rounds, seed):
         v = morse.random_discrete_morse(K, strategy, s).vector
         counts[v] = counts.get(v, 0) + 1
     return counts
+
+
+class DequeFlipState(FlipState):
+    """A ``FlipState`` that records every applied move as a ``FlipMove``, its
+    f-vector read off the state, in a ``deque(maxlen=buffer)``."""
+
+    def __init__(self, K, rng, buffer):
+        super().__init__(K, rng)
+        self.moves = deque(maxlen=buffer)
+
+    def _apply(self, face, replacement):
+        move = super()._apply(face, replacement)
+        self.moves.append(FlipMove(self.round, face, replacement, tuple(self.f)))
+        return move
+
+
+def simplify_with_deque(K, seed, max_rounds, buffer):
+    """``bistellar_simplify`` with the default schedule, recorded in a deque
+    of the last ``buffer`` moves: the kept moves up to the best complex, as
+    a tuple, and whether the deque dropped none."""
+    schedule = AnnealingSchedule()
+    weights = default_heat_weights(K.dim)
+    state = DequeFlipState(K, Rng(seed), buffer)
+    best_f = state.f_vector()
+    best_len = stalled = heating_left = 0
+    while state.round < max_rounds and not state.f[0] == state.f[state.d] == state.d + 2:
+        if heating_left > 0:
+            _heating_move(state, weights)
+            heating_left -= 1
+            continue
+        if _cooling_move(state) is None:
+            burst = schedule.heating_amount(state.f[state.d])
+            heating_left = burst * min(stalled // schedule.threshold(state.f[state.d]) + 1, 10)
+            stalled += 1
+            continue
+        if state.f_vector() < best_f:
+            best_f, best_len, stalled = state.f_vector(), state.round, 0
+    if state.f_vector() < best_f:
+        best_len = state.round
+    dropped = state.round - len(state.moves)
+    return tuple(islice(state.moves, max(0, best_len - dropped))), dropped == 0

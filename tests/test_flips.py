@@ -1,16 +1,21 @@
 import copy
 import re
+import tracemalloc
 from itertools import combinations
+from operator import sub
 
 import pytest
+from _oracles import simplify_with_deque
 
-from plsphere import generators, homology
+from plsphere import flips, generators, homology
 from plsphere.complex_core import SimplicialComplex
 from plsphere.errors import ImproperMove, NotPseudomanifold, StaleOption
 from plsphere.flips import (
     AnnealingSchedule,
     FlipMove,
     FlipState,
+    Trajectory,
+    _f_change,
     bistellar_simplify,
     default_heat_weights,
     replay,
@@ -310,3 +315,115 @@ def test_trajectory_tsv_format():
     lines = trajectory_tsv(res.trajectory).splitlines()
     assert lines[0] == "round\tface_dim\tface\tf_vector"
     assert len(lines) == len(res.trajectory) + 1
+
+
+def test_closed_form_f_change_matches_the_kernel():
+    # every face size of every dimension 2..5 is flipped at least once, and
+    # its f-vector change is what the kernel's counts do to f
+    for d in range(2, 6):
+        state = FlipState(generators.boundary_of_simplex(d + 1), Rng(d))
+        sizes = set()
+        for step in range(400):
+            before = state.f_vector()
+            try:
+                move = state.random_move(move_dim=step % (d + 1))
+            except ImproperMove:
+                continue
+            assert tuple(map(sub, move.f_after, before)) == _f_change(d, len(move.face))
+            sizes.add(len(move.face))
+        assert sizes == set(range(1, d + 2)), d
+
+
+_DEQUE_CASES = {
+    "perturbed_3": (generators.perturbed_sphere(3, 10, 50, 0, seed=21), 3, 10**4),
+    "best_before_last": (generators.perturbed_sphere(3, 8, 30, 5, seed=4), 1, 80),
+    "perturbed_4": (generators.perturbed_sphere(4, 10, 60, 40, 0), 1, 2000),
+}
+
+
+@pytest.mark.parametrize("buffer", [None, 3, 50])
+@pytest.mark.parametrize("case", sorted(_DEQUE_CASES))
+def test_trajectory_matches_the_deque_oracle(monkeypatch, case, buffer):
+    # move by move, and the kept window and replayable flag of a buffer
+    # that overflows, as a deque of FlipMoves keeps them
+    K, seed, rounds = _DEQUE_CASES[case]
+    if buffer is not None:
+        monkeypatch.setattr(flips, "TRAJECTORY_BUFFER", buffer)
+    expected, replayable = simplify_with_deque(K, seed, rounds, flips.TRAJECTORY_BUFFER)
+    res = bistellar_simplify(K, seed=seed, max_rounds=rounds)
+    assert isinstance(res.trajectory, Trajectory)
+    assert len(res.trajectory) == len(expected)
+    for got, want in zip(res.trajectory, expected):
+        assert got.round == want.round
+        assert got.face == want.face
+        assert got.replacement == want.replacement
+        assert got.f_after == want.f_after, got.round
+    assert res.replayable == replayable
+    assert res.trajectory == expected
+    if buffer == 3:
+        assert not replayable
+    if buffer is None:
+        assert replayable and expected
+
+
+def test_a_recording_state_keeps_the_last_moves_in_a_compacted_buffer(monkeypatch):
+    monkeypatch.setattr(flips, "TRAJECTORY_BUFFER", 50)
+    state = FlipState(generators.boundary_of_simplex(4), Rng(5), record_trajectory=True)
+    moves = []
+    for _ in range(500):
+        try:
+            moves.append(state.random_move(move_dim=state.rng.randbelow(3)))
+        except ImproperMove:
+            moves.append(state.random_move(move_dim=0))
+        assert len(state._sizes) <= 50 + 50 // 16 + 1
+    kept = state.take_trajectory(480)
+    assert kept.first_round == 451
+    assert kept == tuple(moves[450:480])
+    assert state.take_trajectory(500) == ()
+
+
+def test_trajectory_slices_indices_and_equality():
+    K = generators.perturbed_sphere(3, 8, 30, 5, seed=4)
+    res = bistellar_simplify(K, seed=1, max_rounds=80)
+    moves = tuple(res.trajectory)
+    assert len(moves) == 38
+    for cut in (0, 1, 17, 38, 50):
+        part = res.trajectory[:cut]
+        assert isinstance(part, Trajectory)
+        assert part == moves[:cut]
+        assert replay(K, part) == replay(K, moves[:cut])
+    for key in (slice(5, 20), slice(-5, None), slice(20, 10), slice(None, None, 2), slice(30, 3, -4)):
+        assert res.trajectory[key] == moves[key], key
+    for i in (0, 9, 37, -1, -38):
+        assert res.trajectory[i] == moves[i]
+    for i in (38, -39):
+        with pytest.raises(IndexError):
+            res.trajectory[i]
+    assert moves == res.trajectory
+    assert res.trajectory == bistellar_simplify(K, seed=1, max_rounds=80).trajectory
+    assert res.trajectory != moves[:-1]
+    assert res.trajectory != bistellar_simplify(K, seed=2, max_rounds=80).trajectory
+    assert res.trajectory[:0] == () == res.trajectory[38:]
+    idle = bistellar_simplify(K, seed=1, max_rounds=0)
+    assert idle.trajectory == () and idle.replayable and not idle.trajectory
+
+
+def test_trajectory_memory_per_round(monkeypatch):
+    # traced bytes that the recorded moves of a 2*10^4-round run on the
+    # suspension of rp2_6 (no sphere, so every round runs) add to the peak,
+    # against a buffer of one move: a FlipMove object per round read 321 B
+    # per round, flat records read 52
+    K = generators.suspension(generators.rp2_6())
+    rounds = 2 * 10**4
+    bistellar_simplify(K, seed=1, max_rounds=2000)  # the caches of K and of the kernel
+
+    def peak(buffer):
+        monkeypatch.setattr(flips, "TRAJECTORY_BUFFER", buffer)
+        tracemalloc.start()
+        try:
+            assert bistellar_simplify(K, seed=1, max_rounds=rounds).rounds == rounds
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(10**6) - peak(1)) / rounds < 100
