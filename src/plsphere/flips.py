@@ -322,16 +322,17 @@ class FlipState:
         actual = self._replacement(face)
         if actual is None:
             raise ImproperMove(f"flip at {face} would duplicate its replacement face")
-        if replacement is None or replacement == actual:
-            return self._apply(face, actual)
-        if len(face) <= self.d:
-            raise StaleOption(f"recorded replacement {replacement} no longer matches {actual}")
-        label = replacement[0] if len(replacement) == 1 else None
-        if type(label) is not int or label < 0 or (label,) in self.count:
-            raise ImproperMove(f"{replacement} is not one new vertex label to subdivide {face}")
-        return self._apply(face, replacement)
+        if replacement is not None and replacement != actual:
+            if len(face) <= self.d:
+                raise StaleOption(f"recorded replacement {replacement} no longer matches {actual}")
+            label = replacement[0] if len(replacement) == 1 else None
+            if type(label) is not int or label < 0 or (label,) in self.count:
+                raise ImproperMove(f"{replacement} is not one new vertex label to subdivide {face}")
+            actual = replacement
+        self._apply(face, actual)
+        return FlipMove(self.round, face, actual, tuple(self.f))
 
-    def _apply(self, face: Face, replacement: Face) -> FlipMove:
+    def _apply(self, face: Face, replacement: Face) -> None:
         """Make the flip at ``face`` that puts in ``replacement``, unchecked."""
         if len(face) > self.d:
             self.max_label = max(self.max_label, replacement[0])
@@ -339,7 +340,6 @@ class FlipState:
         self.round += 1
         if self._keep is not None:
             self._record(face, replacement)
-        return FlipMove(self.round, face, replacement, tuple(self.f))
 
     def _record(self, face: Face, replacement: Face) -> None:
         self._labels.extend(face)
@@ -381,13 +381,15 @@ class FlipState:
         A k-move acts on a face of dimension d-k; 0-moves subdivide a
         random facet and are always proper.
         """
-        move = self._first_proper_flip(self.d - move_dim)
-        if move is None:
+        flip = self._first_proper_flip(self.d - move_dim)
+        if flip is None:
             raise ImproperMove(f"no proper {move_dim}-move available")
-        return move
+        return FlipMove(self.round, *flip, tuple(self.f))
 
-    def _first_proper_flip(self, i: int) -> FlipMove | None:
-        """Apply the first proper flip at an i-face in random order, if any."""
+    def _first_proper_flip(self, i: int) -> tuple[Face, Face] | None:
+        """Apply the first proper flip at an i-face in random order, if any,
+        and return its face and replacement; the scans of a flip run build
+        no ``FlipMove``."""
         # incremental Fisher-Yates over the sorted candidates, which stay as
         # they are: ``moved`` holds the slots a swap has changed, and random
         # draws are paid only for the faces tried
@@ -400,7 +402,8 @@ class FlipState:
             moved[b] = moved.get(a, items[a])
             rep = self._replacement(face)
             if rep is not None:
-                return self._apply(face, rep)
+                self._apply(face, rep)
+                return face, rep
         return None
 
     def to_complex(self) -> SimplicialComplex:
@@ -463,16 +466,18 @@ class SimplifyResult:
     seed: int
 
 
-def _cooling_move(state: FlipState) -> FlipMove | None:
+def _cooling_move(state: FlipState) -> tuple[Face, Face] | None:
     """First proper f-non-increasing flip, scanning faces of dimension
     0 upward to floor(d/2) (i.e. d-moves first), random order per level."""
     for i in range(state.d // 2 + 1):
-        if (move := state._first_proper_flip(i)) is not None:
-            return move
+        if (flip := state._first_proper_flip(i)) is not None:
+            return flip
     return None
 
 
-def _heating_move(state: FlipState, weights: tuple[int, ...]) -> FlipMove:
+def _heating_move(state: FlipState, weights: tuple[int, ...]) -> tuple[Face, Face]:
+    """A random proper k-move, k drawn by ``weights``; a stellar subdivision
+    (0-move), which never fails, when no k-move is proper."""
     total = sum(weights)
     pick = state.rng.randbelow(total)
     move_dim = 0
@@ -481,10 +486,7 @@ def _heating_move(state: FlipState, weights: tuple[int, ...]) -> FlipMove:
             move_dim = k
             break
         pick -= w
-    try:
-        return state.random_move(move_dim)
-    except ImproperMove:
-        return state.random_move(0)  # stellar subdivision never fails
+    return state._first_proper_flip(state.d - move_dim) or state._first_proper_flip(state.d)
 
 
 def bistellar_simplify(
@@ -530,8 +532,7 @@ def bistellar_simplify(
             _heating_move(state, weights)
             heating_left -= 1
             continue
-        move = _cooling_move(state)
-        if move is None:
+        if _cooling_move(state) is None:
             # local minimum: heat, harder the longer the best has stalled
             burst = schedule.heating_amount(state.f[state.d])
             heating_left = burst * min(stalled // schedule.threshold(state.f[state.d]) + 1, 10)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from math import gcd, isqrt
+from types import MappingProxyType
 
 from .complex_core import SimplicialComplex
 from .errors import DimensionOutOfRange, InvalidSpec
@@ -40,7 +41,9 @@ class SparseIntMatrix:
     each once, in increasing order, so a row is found by bisection.  A
     list, not a set: an empty set alone costs 216 bytes.  A row is
     inserted only when its entry is new and removed when its entry
-    vanishes.
+    vanishes.  A matrix handed to ``_eliminate`` with a row function may
+    hold None for a row not built yet; elimination leaves each retired row
+    as the shared, read-only ``_RETIRED``.
     """
 
     __slots__ = ("nrows", "ncols", "rows", "col_rows")
@@ -113,7 +116,11 @@ def boundary_matrix(K: SimplicialComplex, k: int, *, _cleared=()) -> SparseIntMa
     return M
 
 
-def _eliminate(M: SparseIntMatrix, p: int = 0) -> list[int]:
+#: the row of every retired pivot: shared, empty and read-only
+_RETIRED = MappingProxyType({})
+
+
+def _eliminate(M: SparseIntMatrix, p: int = 0, row_of=None) -> list[int]:
     """Pivot each row of M once, in index order; returns the pivot columns.
 
     Over Z (``p == 0``) a row's units are its entries +1 and -1; over GF(p)
@@ -121,12 +128,22 @@ def _eliminate(M: SparseIntMatrix, p: int = 0) -> list[int]:
     unit.  A row with a unit is pivoted on the unit whose column has the
     fewest rows: that column is cleared from the other rows, and the row
     itself is retired, since column operations that touch only it clear
-    the rest.  Over Z a row without a unit at its turn is left for the
-    dense step.
+    the rest.  A retired row becomes ``_RETIRED`` and no column lists it
+    again.  Over Z a row without a unit at its turn is left for the dense
+    step.
+
+    With ``row_of``, a row of M that is None is built as ``row_of(r)`` the
+    first time it is read: at its turn, or when a pivot column lists it.
+    ``col_rows`` must list it already, so the pivots are those of the rows
+    built up front, while only the rows between their first touch and
+    their retirement are alive.
     """
     rows, col_rows = M.rows, M.col_rows
     pivots = []
-    for r, prow in enumerate(rows):
+    for r in range(M.nrows):
+        prow = rows[r]
+        if prow is None:
+            prow = rows[r] = row_of(r)
         units = [c for c, v in prow.items() if p or v in (1, -1)]
         if not units:
             continue
@@ -136,6 +153,8 @@ def _eliminate(M: SparseIntMatrix, p: int = 0) -> list[int]:
             if r2 == r:
                 continue
             row2 = rows[r2]
+            if row2 is None:
+                row2 = rows[r2] = row_of(r2)
             f = row2.pop(c) * inv
             for k, v in prow.items():
                 if k == c:
@@ -161,7 +180,7 @@ def _eliminate(M: SparseIntMatrix, p: int = 0) -> list[int]:
             if k != c:
                 col_rows[k].remove(r)
         col_rows[c].clear()
-        rows[r] = {}
+        rows[r] = _RETIRED
         pivots.append(c)
     return pivots
 
@@ -214,10 +233,11 @@ def _residual(W: SparseIntMatrix) -> list[int]:
     return _diagonal([[row.get(c, 0) for c in cols] for row in live])
 
 
-def _smith_in_place(M: SparseIntMatrix) -> SmithNormalForm:
+def _smith_in_place(M: SparseIntMatrix, row_of=None) -> SmithNormalForm:
     """Elementary divisors of M, reducing M itself: unit pivots, then the
-    diagonal of the rest."""
-    units = len(_eliminate(M))
+    diagonal of the rest.  ``row_of`` builds the rows of M that are None,
+    as in ``_eliminate``."""
+    units = len(_eliminate(M, 0, row_of))
     return SmithNormalForm((1,) * units + tuple(_residual(M)))
 
 

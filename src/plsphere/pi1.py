@@ -5,10 +5,18 @@ The presentation comes from a seeded random spanning tree of the
 budgeted round of Tietze simplification then tries to empty the
 presentation; failing that, the abelianization decides non-triviality or
 the verdict is an honest ``unknown``.
+
+One Tietze core, ``_tietze``, serves both callers.  It keeps each relator
+once and leaves the surviving generators under their original labels.
+``tietze_simplify`` renumbers its result into a new presentation.  The
+verdict does not: it abelianizes the surviving words as they stand, whose
+dropped generators are empty columns, and builds each exponent row only
+when the elimination first reads it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,6 +46,46 @@ def _invert(word) -> Word:
     return tuple(-x for x in reversed(word))
 
 
+def _exponent_row(word: Word) -> dict[int, int]:
+    """The exponent sum of each generator in ``word``, keyed by its 0-based
+    column, in order of first occurrence; zero sums are left out."""
+    row: dict[int, int] = {}
+    for x in word:
+        c = abs(x) - 1
+        row[c] = row.get(c, 0) + (1 if x > 0 else -1)
+    if 0 in row.values():
+        row = {c: v for c, v in row.items() if v}
+    return row
+
+
+def _exponent_matrix(words, ncols: int, built: bool) -> SparseIntMatrix:
+    """The exponent rows of ``words`` over ``ncols`` columns.  Unless
+    ``built``, only the column lists are filled and every row is None, for
+    ``_eliminate`` to build with ``_exponent_row`` on first touch."""
+    M = SparseIntMatrix(0, ncols)
+    M.nrows = len(words)
+    M.rows = [None] * len(words)
+    col_rows = M.col_rows
+    for r, w in enumerate(words):
+        row = _exponent_row(w)
+        if built:
+            M.rows[r] = row
+        for c in row:
+            col_rows[c].append(r)
+    return M
+
+
+def _abelianization(words, ncols: int, generators: int) -> tuple[int, tuple[int, ...]]:
+    """(free rank, torsion orders) of the group on ``generators`` generators
+    whose relators are ``words`` over columns 1..``ncols``; the columns of
+    the labels that are not generators must be empty.  The exponent matrix
+    is reduced in place, with each row built on first touch."""
+    snf = _smith_in_place(
+        _exponent_matrix(words, ncols, built=False), lambda r: _exponent_row(words[r])
+    )
+    return generators - snf.rank, snf.torsion()
+
+
 @dataclass(frozen=True)
 class GroupPresentation:
     """Finite presentation; relators are freely reduced words."""
@@ -58,12 +106,7 @@ class GroupPresentation:
 
     def exponent_matrix(self) -> SparseIntMatrix:
         """Relator-by-generator exponent sums (presents the abelianization)."""
-        M = SparseIntMatrix(len(self.relators), self.generators)
-        for r, w in enumerate(self.relators):
-            for x in w:
-                g = abs(x) - 1
-                M.set(r, g, M.get(r, g) + (1 if x > 0 else -1))
-        return M
+        return _exponent_matrix(self.relators, self.generators, built=True)
 
     def abelianization(self) -> tuple[int, tuple[int, ...]]:
         """(free rank, cyclic torsion orders) of the abelianized group.
@@ -71,8 +114,7 @@ class GroupPresentation:
         The exponent matrix is built here and reduced in place, so no
         second copy of it is made.
         """
-        snf = _smith_in_place(self.exponent_matrix())
-        return self.generators - snf.rank, snf.torsion()
+        return _abelianization(self.relators, self.generators, self.generators)
 
     def export_text(self) -> str:
         lines = [f"generators: {self.generators}"]
@@ -194,38 +236,30 @@ def _try_subword(long: Word, short: Word) -> tuple[Word, int] | None:
     return None
 
 
-def tietze_simplify(
-    P: GroupPresentation, effort_limit: int = DEFAULT_BUDGET
-) -> tuple[GroupPresentation, TietzeTrace]:
-    """Length-non-increasing Tietze simplification within a work budget.
-
-    Applies free reduction, empty-relator deletion, elimination of a
-    generator occurring exactly once in some relator, and greedy
-    length-reducing subword replacement, to a fixpoint or until the budget
-    is spent.  The resulting presentation is of an isomorphic group.
-
-    The budget counts operations: 1 per round; each relator scanned for a
-    generator to eliminate costs its length; an elimination costs the total
-    relator length after its rewrite; each subword attempt costs the product
-    of the two lengths.  A step whose charge overruns the budget is not
-    applied.  An elimination rewrites only the relators that hold the
-    generator, found through an index from each generator to its relators;
-    the charge is the same as rewriting them all.
-    """
+def _tietze(
+    P: GroupPresentation, effort_limit: int
+) -> tuple[list[Word], list[int], TietzeTrace]:
+    """The Tietze core of ``tietze_simplify``: the non-empty relators left,
+    in order and under P's generator labels, the labels of the generators
+    left, in increasing order, and the trace.  Each relator is held once,
+    and replaced where it stands."""
     if effort_limit <= 0:
         raise InvalidSpec(f"the Tietze budget must be positive, not {effort_limit}")
     # relators by their index in P; the dict keeps their order, since a
     # relator is only ever dropped or replaced where it stands.  P's
     # relators are freely reduced tuples, which ``GroupPresentation`` checks
     rel = dict(enumerate(P.relators))
-    # generator -> ids of the relators that hold it
-    occ: dict[int, set[int]] = {g: set() for g in range(1, P.generators + 1)}
+    # generator -> ids of the relators that hold it, each once, in
+    # increasing order: a list, since a set of 5 or more costs 744 bytes.
+    # An eliminated generator leaves it; the others keep their labels
+    occ: dict[int, list[int]] = {g: [] for g in range(1, P.generators + 1)}
     for i, w in rel.items():
         for x in w:
-            occ[abs(x)].add(i)
+            ids = occ[abs(x)]
+            if not ids or ids[-1] != i:
+                ids.append(i)
     total = sum(map(len, rel.values()))
     empty = [i for i, w in rel.items() if not w]
-    dropped: set[int] = set()  # generators keep their labels until the end
     trace = TietzeTrace()
 
     def spend(n: int = 1) -> bool:
@@ -241,9 +275,10 @@ def tietze_simplify(
         total += len(u) - len(w)
         before, after = {abs(x) for x in w}, {abs(x) for x in u}
         for g in before - after:
-            occ[g].discard(i)
+            ids = occ[g]
+            del ids[bisect_left(ids, i)]
         for g in after - before:
-            occ[g].add(i)
+            insort(occ[g], i)
         rel[i] = u
         if not u:
             empty.append(i)
@@ -282,22 +317,24 @@ def tietze_simplify(
             rewritten = {}
             cancelled = 0
             charge = total - len(w)
-            for j in sorted(occ[g] - {ri}):
+            for j in occ[g]:
+                if j == ri:
+                    continue
                 raw = _substitute(rel[j], g, repl)
                 u = rewritten[j] = free_reduce(raw)
                 cancelled += (len(raw) - len(u)) // 2
                 charge += len(u) - len(rel[j])
             if not spend(charge):
                 break
-            for x in w:
-                occ[abs(x)].discard(ri)
+            for h in {abs(x) for x in w}:
+                ids = occ[h]
+                del ids[bisect_left(ids, ri)]
             del rel[ri]
             total -= len(w)
             for j, u in rewritten.items():
                 replace(j, u)
             del occ[g]
             trace.free_reductions += cancelled
-            dropped.add(g)
             trace.generators_eliminated += 1
             changed = True
             continue
@@ -325,10 +362,34 @@ def tietze_simplify(
             if changed or trace.budget_exhausted:
                 break
 
-    # number the surviving generators 1, 2, ... in their original order
-    labels = [g for g in range(1, P.generators + 1) if g not in dropped]
+    return [w for w in rel.values() if w], list(occ), trace
+
+
+def tietze_simplify(
+    P: GroupPresentation, effort_limit: int = DEFAULT_BUDGET
+) -> tuple[GroupPresentation, TietzeTrace]:
+    """Length-non-increasing Tietze simplification within a work budget.
+
+    Applies free reduction, empty-relator deletion, elimination of a
+    generator occurring exactly once in some relator, and greedy
+    length-reducing subword replacement, to a fixpoint or until the budget
+    is spent.  The resulting presentation is of an isomorphic group.
+
+    The budget counts operations: 1 per round; each relator scanned for a
+    generator to eliminate costs its length; an elimination costs the total
+    relator length after its rewrite; each subword attempt costs the product
+    of the two lengths.  A step whose charge overruns the budget is not
+    applied.  An elimination rewrites only the relators that hold the
+    generator, found through an index from each generator to its relators;
+    the charge is the same as rewriting them all.
+
+    This is the Tietze core ``_tietze`` with its surviving generators
+    numbered 1, 2, ... in their original order; ``triviality_verdict``
+    runs the core alone and builds no renumbered copy.
+    """
+    words, labels, trace = _tietze(P, effort_limit)
     new = {g: i for i, g in enumerate(labels, 1)}
-    relators = tuple(tuple(new[x] if x > 0 else -new[-x] for x in w) for w in rel.values() if w)
+    relators = tuple(tuple(new[x] if x > 0 else -new[-x] for x in w) for w in words)
     return GroupPresentation(len(labels), relators), trace
 
 
@@ -360,11 +421,19 @@ def triviality_verdict(
     P: GroupPresentation, effort_limit: int = DEFAULT_BUDGET
 ) -> TrivialityVerdict:
     """Trivial if simplification empties the presentation, non-trivial if
-    the abelianization is non-trivial, unknown otherwise."""
-    simplified, trace = tietze_simplify(P, effort_limit)
-    if simplified.is_empty():
+    the abelianization is non-trivial, unknown otherwise.
+
+    Runs the Tietze core of ``tietze_simplify`` and abelianizes the words
+    it leaves under P's labels, so no renumbered presentation is built.
+    The columns of the eliminated generators are empty, and renumbering
+    keeps the column order, so the elementary divisors are those of the
+    renumbered presentation; the free rank counts the surviving
+    generators.
+    """
+    words, labels, trace = _tietze(P, effort_limit)
+    if not labels:
         return TrivialityVerdict(Verdict.TRIVIAL, trace=trace)
-    rank, torsion = simplified.abelianization()
+    rank, torsion = _abelianization(words, P.generators, len(labels))
     if rank > 0 or torsion:
         return TrivialityVerdict(Verdict.NON_TRIVIAL, trace=trace, abelianization=(rank, torsion))
     return TrivialityVerdict(Verdict.UNKNOWN, trace=trace)

@@ -41,7 +41,7 @@ from .flips import bistellar_simplify
 from .homology import homology
 from .morse import Strategy, is_spherical, random_discrete_morse
 from .pi1 import Verdict as Pi1Verdict
-from .pi1 import DEFAULT_BUDGET, TrivialityVerdict, pi1_presentation, tietze_simplify
+from .pi1 import DEFAULT_BUDGET, TrivialityVerdict, _tietze, pi1_presentation
 
 #: Morse rounds per link in the manifold check
 LINK_MORSE_ROUNDS = 20
@@ -170,9 +170,9 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
     log.append("homology: spherical")
 
     # H_1 = 0 here, so pi1 has a trivial abelianization and is never shown
-    # non-trivial: only an emptied presentation decides
-    P, trace = tietze_simplify(pi1_presentation(K, base_tree_seed=cfg.seed), cfg.pi1_budget)
-    if P.is_empty():
+    # non-trivial: only a presentation with no generator left decides
+    _, labels, trace = _tietze(pi1_presentation(K, base_tree_seed=cfg.seed), cfg.pi1_budget)
+    if not labels:
         pv = TrivialityVerdict(Pi1Verdict.TRIVIAL, trace=trace)
         log.append("pi1: presentation simplified to trivial")
         if d == 4:

@@ -3,7 +3,8 @@
 Everything but the last section is written from first principles
 (definitions, not the library's algorithms) so that test expectations are
 genuinely independent of the code under test.  The last section keeps the
-library's earlier homology and Tietze kernels, its earlier barycentric
+library's earlier homology and Tietze kernels, its earlier π₁ verdict,
+its earlier barycentric
 subdivision, its earlier manifold check, its earlier spectrum, its earlier
 rule for maximal input faces and its earlier trajectory recording, whose
 outputs the current ones must repeat exactly.
@@ -29,6 +30,7 @@ from plsphere.homology import (
     HomologyGroups,
     _prime,
     _prime_powers,
+    _smith_in_place,
     boundary_matrix,
     rank_mod_p,
     smith_normal_form,
@@ -36,10 +38,13 @@ from plsphere.homology import (
 from plsphere.pi1 import (
     GroupPresentation,
     TietzeTrace,
+    TrivialityVerdict,
+    Verdict,
     _invert,
     _substitute,
     _try_subword,
     free_reduce,
+    tietze_simplify,
 )
 from plsphere.rng import Rng
 
@@ -256,11 +261,12 @@ def is_sphere_small_dim_naive(facets):
 
 
 # -- the invariant kernels as they were before clearing and the occurrence
-# index, the subdivision as it was before it walked the Hasse diagram, and
-# the manifold check as it was before its order-type link cache.  These are
-# the library's earlier algorithms, not first principles: the faster kernels
-# must give exactly their invariants, presentations, Tietze traces, facets
-# and manifold reports.
+# index, the π₁ verdict as it was before the Tietze core, the subdivision
+# as it was before it walked the Hasse diagram, and the manifold check as
+# it was before its order-type link cache.  These are the library's earlier
+# algorithms, not first principles: the faster kernels must give exactly
+# their invariants, presentations, Tietze traces, verdicts, facets and
+# manifold reports.
 
 
 def barycentric_subdivision_permutations(K):
@@ -395,6 +401,20 @@ def tietze_simplify_list(P, effort_limit):
     return GroupPresentation(len(labels), relators), trace, phase
 
 
+def triviality_verdict_renumbered(P, effort_limit):
+    """``triviality_verdict`` as it was before the Tietze core: the
+    renumbered presentation of ``tietze_simplify``, then its whole exponent
+    matrix, every row built up front, reduced in place."""
+    simplified, trace = tietze_simplify(P, effort_limit)
+    if simplified.is_empty():
+        return TrivialityVerdict(Verdict.TRIVIAL, trace=trace)
+    snf = _smith_in_place(simplified.exponent_matrix())
+    rank, torsion = simplified.generators - snf.rank, snf.torsion()
+    if rank > 0 or torsion:
+        return TrivialityVerdict(Verdict.NON_TRIVIAL, trace=trace, abelianization=(rank, torsion))
+    return TrivialityVerdict(Verdict.UNKNOWN, trace=trace)
+
+
 def is_combinatorial_manifold_per_face(K, cfg=None):
     """``is_combinatorial_manifold`` with one ``K.link(F)`` per face and
     verdicts cached by the link's labelled facet tuple."""
@@ -461,9 +481,8 @@ class DequeFlipState(FlipState):
         self.moves = deque(maxlen=buffer)
 
     def _apply(self, face, replacement):
-        move = super()._apply(face, replacement)
+        super()._apply(face, replacement)
         self.moves.append(FlipMove(self.round, face, replacement, tuple(self.f)))
-        return move
 
 
 def simplify_with_deque(K, seed, max_rounds, buffer):

@@ -18,6 +18,7 @@ from _oracles import (
 from plsphere import cli, generators
 from plsphere.errors import DimensionOutOfRange, InvalidSpec
 from plsphere.homology import (
+    _RETIRED,
     SparseIntMatrix,
     _eliminate,
     _residual,
@@ -26,7 +27,7 @@ from plsphere.homology import (
     rank_mod_p,
     smith_normal_form,
 )
-from plsphere.pi1 import pi1_presentation
+from plsphere.pi1 import GroupPresentation, free_reduce, pi1_presentation
 from plsphere.rng import Rng
 
 # ``plsphere.homology`` as an attribute of the package is the function
@@ -100,6 +101,63 @@ def test_column_index_follows_set_and_eliminate(p):
             _column_index_holds(M)
         _eliminate(M, p)
         _column_index_holds(M)
+
+
+def _mod(M, p):
+    """M over GF(p) as ``rank_mod_p`` reduces it: entries mod p, zeros dropped."""
+    if not p:
+        return M.copy()
+    W = SparseIntMatrix(M.nrows, M.ncols)
+    for r, row in enumerate(M.rows):
+        for c, v in row.items():
+            W.set(r, c, v % p)
+    return W
+
+
+def _unbuilt(M):
+    """M's column lists with no row built, and the function that builds
+    row r as M holds it."""
+    L = SparseIntMatrix(0, M.ncols)
+    L.nrows, L.rows = M.nrows, [None] * M.nrows
+    L.col_rows = [rs[:] for rs in M.col_rows]
+    return L, lambda r: dict(M.rows[r])
+
+
+def _elimination_inputs(corpus):
+    for name in ("rp2_6", "saw_blade_3", "bd_simplex_5", "sd1_bd_simplex_4"):
+        K = corpus[name]
+        for k in range(1, K.dim + 1):
+            yield f"{name} d{k}", boundary_matrix(K, k)
+    rp2 = corpus["rp2_6"]
+    for K in (rp2, generators.suspension(rp2), generators.dunce_hat(), corpus["saw_blade_2"]):
+        for seed in range(3):
+            yield f"pi1 {K.f_vector()} {seed}", pi1_presentation(K, base_tree_seed=seed).exponent_matrix()
+    rng = Rng(23)
+    for i in range(100):
+        n = 1 + rng.randbelow(5)
+        words = [
+            free_reduce([(1 + rng.randbelow(n)) * (1 - 2 * rng.randbelow(2)) for _ in range(rng.randbelow(9))])
+            for _ in range(rng.randbelow(8))
+        ]
+        yield f"random {i}", GroupPresentation(n, tuple(words)).exponent_matrix()
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_rows_built_on_first_touch_eliminate_as_rows_built_up_front(corpus, p):
+    """Same pivots, rows and residual divisors; every pivot row ends as the
+    one shared retired row, and no column lists it."""
+    for name, M in _elimination_inputs(corpus):
+        eager = _mod(M, p)
+        lazy, row_of = _unbuilt(eager)
+        pivots = _eliminate(lazy, p, row_of)
+        assert _eliminate(eager, p) == pivots, name
+        assert lazy.rows == eager.rows and lazy.col_rows == eager.col_rows, name
+        if not p:
+            assert _residual(lazy) == _residual(eager), name
+        retired = {r for r, row in enumerate(lazy.rows) if row is _RETIRED}
+        assert len(retired) == len(pivots), name
+        assert all(type(row) is dict for r, row in enumerate(lazy.rows) if r not in retired), name
+        assert not retired & {r for rs in lazy.col_rows for r in rs}, name
 
 
 def test_smith_normal_form_leaves_its_argument():
