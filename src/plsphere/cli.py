@@ -242,11 +242,7 @@ def build_parser() -> _Parser:
 
     def add(name, func, help):
         sp = sub.add_parser(name, help=help)
-        sp.add_argument(
-            "complex_arg", nargs="?", default=None,
-            metavar="complex", help="facet file or builtin specifier",
-        )
-        sp.add_argument("--complex", dest="complex_opt", default=None, help=argparse.SUPPRESS)
+        sp.add_argument("complex", help="facet file or builtin specifier")
         sp.set_defaults(func=func)
         return sp
 
@@ -299,10 +295,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "complex_arg"):
-        args.complex = args.complex_opt or args.complex_arg
-        if args.complex is None:
-            parser.error(f"{args.command}: a complex (file or specifier) is required")
     try:
         if hasattr(args, "complex"):
             return args.func(args, resolve_complex(args.complex))

@@ -19,7 +19,8 @@ when progress stalls.
 A recording state keeps its moves flat, with no object per move: the d+2
 vertex labels of each face and its replacement in one list, the face's size
 in one byte.  That is all a move needs, since a flip at a face of a given
-size changes the f-vector by a fixed amount (``_f_change``).  A
+size changes the f-vector by a fixed amount (``_f_change``).  It keeps the
+first moves of a run, so what it keeps always replays from the input.  A
 ``Trajectory`` reads them back as ``FlipMove``s.
 """
 
@@ -30,7 +31,7 @@ from bisect import bisect_left, insort
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from math import comb, isfinite
 from operator import eq
 
@@ -38,9 +39,10 @@ from .complex_core import Face, SimplicialComplex, check_capacity
 from .errors import ImproperMove, InvalidSpec, NotPseudomanifold, StaleOption
 from .rng import Rng
 
-#: The most recent moves that a recording ``FlipState`` keeps.  A longer run
-#: drops its first moves, so its trajectory is not replayable.  A kept move
-#: costs d+2 list slots and one byte, about 54 B per round in dimension 3.
+#: The first moves of a run that a recording ``FlipState`` keeps.  A longer
+#: run records no more, so its trajectory replays to the complex after this
+#: many rounds, not to its best.  A kept move costs d+2 list slots and one
+#: byte, about 54 B per round in dimension 3.
 TRAJECTORY_BUFFER = 10**6
 
 
@@ -70,36 +72,21 @@ def _f_change(d: int, size: int) -> tuple[int, ...]:
     )
 
 
-def _f_moved(f: tuple[int, ...], sizes: bytearray, stop: int) -> tuple[int, ...]:
-    """The f-vector ``f`` after the moves whose face sizes are ``sizes[:stop]``."""
-    d = len(f) - 1
-    out = list(f)
-    for size in range(1, d + 2):
-        n = sizes.count(size, 0, stop)
-        if n:
-            for k, x in enumerate(_f_change(d, size)):
-                out[k] += n * x
-    return tuple(out)
-
-
 class Trajectory(Sequence):
-    """Consecutive moves of a flip run, a read-only sequence of ``FlipMove``s.
+    """The first moves of a flip run, a read-only sequence of ``FlipMove``s.
 
     Stored flat: per move, ``labels`` holds the vertex labels of its face and
     then of its replacement (d+2 in all), and ``sizes`` the face's size.  A
-    ``FlipMove`` is rebuilt on access.  Its round counts on from
-    ``first_round``, and its f-vector on from ``f_before``, the f-vector
-    before the first move, by one ``_f_change`` per move.  A trajectory equals any
-    tuple or trajectory of the same moves, so an empty one equals ``()``.
-    Slices with step 1 are trajectories; other slices are tuples.
+    ``FlipMove`` is rebuilt on access.  Its round counts on from 1, and its
+    f-vector on from ``f_before``, the input's f-vector, by one
+    ``_f_change`` per move.  A trajectory equals any tuple or trajectory of
+    the same moves, so an empty one equals ``()``.  Slices that start at 0
+    with step 1 are trajectories; other slices are tuples.
     """
 
-    __slots__ = ("first_round", "_f_before", "_labels", "_sizes")
+    __slots__ = ("_f_before", "_labels", "_sizes")
 
-    def __init__(
-        self, first_round: int, f_before: tuple[int, ...], labels: list[int], sizes: bytearray
-    ):
-        self.first_round = first_round
+    def __init__(self, f_before: tuple[int, ...], labels: list[int], sizes: bytearray):
         self._f_before = f_before
         self._labels = labels
         self._sizes = sizes
@@ -112,26 +99,19 @@ class Trajectory(Sequence):
         d = len(f) - 1
         changes = [()] + [_f_change(d, size) for size in range(1, d + 2)]
         at = 0
-        for j, size in enumerate(self._sizes, self.first_round):
+        for j, size in enumerate(self._sizes, 1):
             f = tuple(map(int.__add__, f, changes[size]))
             yield FlipMove(j, tuple(labels[at:at + size]), tuple(labels[at + size:at + d + 2]), f)
             at += d + 2
 
     def __getitem__(self, key):
         if not isinstance(key, slice):
-            i = range(len(self))[key]
-            return next(iter(self[i:i + 1]))
+            return next(islice(self, range(len(self))[key], None))
         start, stop, step = key.indices(len(self))
-        if step != 1:
+        if start or step != 1:
             return tuple(self)[key]
-        stop = max(start, stop)
         width = len(self._f_before) + 1
-        return Trajectory(
-            self.first_round + start,
-            _f_moved(self._f_before, self._sizes, start),
-            self._labels[start * width:stop * width],
-            self._sizes[start:stop],
-        )
+        return Trajectory(self._f_before, self._labels[:stop * width], self._sizes[:stop])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (Trajectory, tuple)):
@@ -139,7 +119,7 @@ class Trajectory(Sequence):
         return len(self) == len(other) and all(map(eq, self, other))
 
     def __repr__(self) -> str:
-        return f"<Trajectory of {len(self)} moves from round {self.first_round}>"
+        return f"<Trajectory of {len(self)} moves>"
 
 
 def _proper_subsets(U: Face):
@@ -173,11 +153,9 @@ class FlipState:
     for every face, so the input's face bound is checked against the face
     budget first.
 
-    With ``record_trajectory`` it also keeps the last ``TRAJECTORY_BUFFER``
-    moves, flat as a ``Trajectory`` stores them, until ``take_trajectory``
-    hands them over.  Moves past the buffer are dropped from the front, by a
-    start offset that is compacted away once it exceeds a sixteenth of the
-    buffer, so a long run holds at most 1.0625 buffers.
+    With ``record_trajectory`` it also keeps the first ``TRAJECTORY_BUFFER``
+    moves, flat as a ``Trajectory`` stores them, and then records no more;
+    ``take_trajectory`` hands them over.
     """
 
     def __init__(self, K: SimplicialComplex, rng: Rng, record_trajectory: bool = False):
@@ -194,7 +172,6 @@ class FlipState:
         self._keep = TRAJECTORY_BUFFER if record_trajectory else None
         self._labels: list[int] = []
         self._sizes = bytearray()
-        self._dropped = 0  # moves at the front of the buffers, past the last _keep
         count = self.count
         for g in K.facets:
             for sub in _proper_subsets(g):
@@ -211,7 +188,7 @@ class FlipState:
                 self._add_edge(*sub)
         for cands in self.candidates:
             cands.sort()
-        self._f_start = tuple(self.f)  # before the first move in the buffers
+        self._f_start = tuple(self.f)  # before the first recorded move
 
     @property
     def facets(self) -> list[Face]:
@@ -345,35 +322,22 @@ class FlipState:
         self._labels.extend(face)
         self._labels.extend(replacement)
         self._sizes.append(len(face))
-        if len(self._sizes) - self._dropped > self._keep:
-            self._dropped += 1
-            if self._dropped > self._keep >> 4:
-                n = self._dropped
-                self._f_start = _f_moved(self._f_start, self._sizes, n)
-                del self._labels[: n * (self.d + 2)]
-                del self._sizes[:n]
-                self._dropped = 0
+        if len(self._sizes) == self._keep:
+            self._keep = None
 
     def take_trajectory(self, last_round: int) -> Trajectory:
-        """Hand over the kept moves up to round ``last_round``; the state
-        records no more moves.  The trajectory starts at round 1 unless the
-        buffer dropped moves."""
-        kept = len(self._sizes) - self._dropped
-        first = self.round - kept + 1
-        start = self._dropped
-        stop = start + max(0, min(kept, last_round - first + 1))
-        labels, sizes, width = self._labels, self._sizes, self.d + 2
-        f_before = _f_moved(self._f_start, sizes, start)
-        # trimmed in place, as a copy of the window would double a full
+        """Hand over the kept moves up to round ``last_round``, the first
+        ``min(kept, last_round)`` moves; the state records no more moves."""
+        labels, sizes = self._labels, self._sizes
+        del sizes[last_round:]
+        stop = len(sizes) * (self.d + 2)
+        # trimmed in place, as a copy of the kept moves would double a full
         # buffer for a moment; so would one slice deletion of the tail,
         # which first copies the references it drops
-        while len(labels) > stop * width:
-            del labels[max(stop * width, len(labels) - 4096):]
-        del labels[: start * width]
-        del sizes[stop:]
-        del sizes[:start]
-        self._keep, self._labels, self._sizes, self._dropped = None, [], bytearray(), 0
-        return Trajectory(first, f_before, labels, sizes)
+        while len(labels) > stop:
+            del labels[max(stop, len(labels) - 4096):]
+        self._keep, self._labels, self._sizes = None, [], bytearray()
+        return Trajectory(self._f_start, labels, sizes)
 
     def random_move(self, move_dim: int) -> FlipMove:
         """Apply a uniformly random proper ``move_dim``-move.
@@ -452,9 +416,10 @@ class SimplifyResult:
     """The best complex of a run and the moves that reach it from the input.
 
     ``trajectory`` is the ``Trajectory`` of the moves up to the best
-    complex, as far as the last ``TRAJECTORY_BUFFER`` moves of the run hold
-    them.  ``replayable`` says that none was dropped, so ``replay`` of the
-    input along it gives ``complex``.
+    complex, as far as the first ``TRAJECTORY_BUFFER`` moves of the run hold
+    them.  ``replayable`` says that they hold them all, so ``replay`` of the
+    input along it gives ``complex``; otherwise it gives the complex after
+    ``TRAJECTORY_BUFFER`` rounds.
     """
 
     complex: SimplicialComplex
@@ -556,7 +521,7 @@ def bistellar_simplify(
         reached_simplex_boundary=best_f[0] == best_f[-1] == K.dim + 2,
         rounds=state.round,
         best_f=best_f,
-        replayable=trajectory.first_round == 1,
+        replayable=len(trajectory) == best_len,
         seed=seed,
     )
 

@@ -136,9 +136,13 @@ def perturbed_sphere(
     """
     if d < 2:
         raise InvalidSpec("perturbed sphere needs d >= 2")
+    counts = {"add_vertices": add_vertices, "one_moves": one_moves, "mixed_rounds": mixed_rounds}
+    for name, n in counts.items():
+        if n < 0:
+            raise InvalidSpec(f"perturbed sphere needs {name} >= 0, not {n}")
     start = boundary_of_simplex(d + 1)
     # each move adds at most d facets, each with 2^(d+1) - 1 faces
-    moves = sum(max(0, n) for n in (add_vertices, one_moves, mixed_rounds))
+    moves = sum(counts.values())
     check_capacity((d + 2 + d * moves) * (2 ** (d + 1) - 1))
     state = FlipState(start, Rng(seed))
 

@@ -189,7 +189,7 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
             log.append(f"flips: reached the simplex boundary after {result.rounds} rounds")
             return Verdict(Answer.YES, Certificate("flip_path", result), log)
         if result.reached_simplex_boundary:
-            # the trajectory buffer dropped the first moves: no certificate
+            # the trajectory buffer filled before the best: no certificate
             log.append(
                 f"flips: reached the simplex boundary after {result.rounds} rounds, "
                 "but the trajectory is not replayable"

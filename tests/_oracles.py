@@ -6,14 +6,14 @@ genuinely independent of the code under test.  The last section keeps the
 library's earlier homology and Tietze kernels, its earlier π₁ verdict,
 its earlier barycentric
 subdivision, its earlier manifold check, its earlier spectrum, its earlier
-rule for maximal input faces and its earlier trajectory recording, whose
-outputs the current ones must repeat exactly.
+rule for maximal input faces and its earlier trajectory recording (one
+``FlipMove`` object per move), whose outputs the current ones must repeat
+exactly.
 """
 
-from collections import deque
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, islice, permutations
+from itertools import combinations, permutations
 from math import gcd
 
 from plsphere import morse, recognizer
@@ -472,26 +472,28 @@ def morse_spectrum_serial(K, strategy, rounds, seed):
     return counts
 
 
-class DequeFlipState(FlipState):
-    """A ``FlipState`` that records every applied move as a ``FlipMove``, its
-    f-vector read off the state, in a ``deque(maxlen=buffer)``."""
+class ListFlipState(FlipState):
+    """A ``FlipState`` that records its first ``buffer`` applied moves as
+    ``FlipMove``s, each f-vector read off the state, in a list."""
 
     def __init__(self, K, rng, buffer):
         super().__init__(K, rng)
-        self.moves = deque(maxlen=buffer)
+        self.buffer = buffer
+        self.moves = []
 
     def _apply(self, face, replacement):
         super()._apply(face, replacement)
-        self.moves.append(FlipMove(self.round, face, replacement, tuple(self.f)))
+        if len(self.moves) < self.buffer:
+            self.moves.append(FlipMove(self.round, face, replacement, tuple(self.f)))
 
 
-def simplify_with_deque(K, seed, max_rounds, buffer):
-    """``bistellar_simplify`` with the default schedule, recorded in a deque
-    of the last ``buffer`` moves: the kept moves up to the best complex, as
-    a tuple, and whether the deque dropped none."""
+def simplify_with_move_list(K, seed, max_rounds, buffer):
+    """``bistellar_simplify`` with the default schedule, recorded in a list
+    of the first ``buffer`` moves: the kept moves up to the best complex, as
+    a tuple, and whether the list holds them all."""
     schedule = AnnealingSchedule()
     weights = default_heat_weights(K.dim)
-    state = DequeFlipState(K, Rng(seed), buffer)
+    state = ListFlipState(K, Rng(seed), buffer)
     best_f = state.f_vector()
     best_len = stalled = heating_left = 0
     while state.round < max_rounds and not state.f[0] == state.f[state.d] == state.d + 2:
@@ -508,5 +510,4 @@ def simplify_with_deque(K, seed, max_rounds, buffer):
             best_f, best_len, stalled = state.f_vector(), state.round, 0
     if state.f_vector() < best_f:
         best_len = state.round
-    dropped = state.round - len(state.moves)
-    return tuple(islice(state.moves, max(0, best_len - dropped))), dropped == 0
+    return tuple(state.moves[:best_len]), best_len <= buffer

@@ -95,7 +95,7 @@ def test_morse_command(capsys):
 
 def test_spectrum_command(capsys):
     code, out, _ = run(
-        capsys, "spectrum", "--complex", "simplex:5", "--rounds", "20",
+        capsys, "spectrum", "simplex:5", "--rounds", "20",
         "--seed", "1", "--no-runtime",
     )
     assert code == 0
@@ -210,9 +210,19 @@ def test_usage_error_exit_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["spectrum"])  # missing complex
     assert exc.value.code == 64
+    assert "the following arguments are required: complex" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
     assert exc.value.code == 64
+
+
+def test_the_complex_is_named_only_by_the_positional_argument(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--complex", "simplex:5"])
+    assert exc.value.code == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: --complex" in err
 
 
 def test_capacity_exit_70_before_enumerating(capsys):
@@ -300,6 +310,17 @@ def test_malformed_input_exit_65(tmp_path, capsys, arg):
     assert code == 65
     assert err.startswith("plsphere: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "spec, name",
+    [("perturbed_sphere:3:-5:0:0:0", "add_vertices"), ("perturbed_sphere:3:2:-7:-1:0", "one_moves")],
+)
+def test_negative_perturbed_sphere_move_counts_exit_65(capsys, spec, name):
+    code, out, err = run(capsys, "check", spec)
+    assert code == 65
+    assert out == ""
+    assert err.startswith(f"plsphere: perturbed sphere needs {name} >= 0, not -")
 
 
 @pytest.mark.parametrize("token", ["1_0", "\u0663", "+4"])

@@ -5,7 +5,7 @@ from itertools import combinations
 from operator import sub
 
 import pytest
-from _oracles import simplify_with_deque
+from _oracles import simplify_with_move_list
 
 from plsphere import flips, generators, homology
 from plsphere.complex_core import SimplicialComplex
@@ -343,12 +343,13 @@ _DEQUE_CASES = {
 @pytest.mark.parametrize("buffer", [None, 3, 50])
 @pytest.mark.parametrize("case", sorted(_DEQUE_CASES))
 def test_trajectory_matches_the_deque_oracle(monkeypatch, case, buffer):
-    # move by move, and the kept window and replayable flag of a buffer
-    # that overflows, as a deque of FlipMoves keeps them
+    # move by move, and the kept moves and replayable flag of a buffer that
+    # fills, as a list of the first FlipMoves keeps them (the name and ids
+    # stay from the deque of the last moves it first compared to)
     K, seed, rounds = _DEQUE_CASES[case]
     if buffer is not None:
         monkeypatch.setattr(flips, "TRAJECTORY_BUFFER", buffer)
-    expected, replayable = simplify_with_deque(K, seed, rounds, flips.TRAJECTORY_BUFFER)
+    expected, replayable = simplify_with_move_list(K, seed, rounds, flips.TRAJECTORY_BUFFER)
     res = bistellar_simplify(K, seed=seed, max_rounds=rounds)
     assert isinstance(res.trajectory, Trajectory)
     assert len(res.trajectory) == len(expected)
@@ -360,12 +361,35 @@ def test_trajectory_matches_the_deque_oracle(monkeypatch, case, buffer):
     assert res.replayable == replayable
     assert res.trajectory == expected
     if buffer == 3:
-        assert not replayable
+        assert not replayable and len(expected) == 3
     if buffer is None:
         assert replayable and expected
 
 
-def test_a_recording_state_keeps_the_last_moves_in_a_compacted_buffer(monkeypatch):
+def test_a_buffer_of_the_best_length_is_just_replayable(monkeypatch):
+    # the run goes on past its best at round 38, so a buffer of 38 keeps the
+    # whole path to the best and a buffer of 37 keeps a prefix of it, which
+    # replays to the complex after 37 rounds
+    K, seed, rounds = _DEQUE_CASES["best_before_last"]
+    full = bistellar_simplify(K, seed=seed, max_rounds=rounds)
+    best_len = len(full.trajectory)
+    assert full.replayable and full.rounds > best_len
+    monkeypatch.setattr(flips, "TRAJECTORY_BUFFER", best_len)
+    exact = bistellar_simplify(K, seed=seed, max_rounds=rounds)
+    assert exact.replayable
+    assert exact.trajectory == full.trajectory
+    assert replay(K, exact.trajectory) == exact.complex
+    monkeypatch.setattr(flips, "TRAJECTORY_BUFFER", best_len - 1)
+    short = bistellar_simplify(K, seed=seed, max_rounds=rounds)
+    assert not short.replayable
+    assert short.complex == full.complex and short.best_f == full.best_f
+    moves, _ = simplify_with_move_list(K, seed, rounds, best_len - 1)
+    assert short.trajectory == moves == tuple(full.trajectory)[: best_len - 1]
+    # the oracle reads f_after off the live state after round 37
+    assert replay(K, short.trajectory).f_vector() == moves[-1].f_after
+
+
+def test_a_recording_state_keeps_the_first_moves_and_then_stops(monkeypatch):
     monkeypatch.setattr(flips, "TRAJECTORY_BUFFER", 50)
     state = FlipState(generators.boundary_of_simplex(4), Rng(5), record_trajectory=True)
     moves = []
@@ -374,10 +398,10 @@ def test_a_recording_state_keeps_the_last_moves_in_a_compacted_buffer(monkeypatc
             moves.append(state.random_move(move_dim=state.rng.randbelow(3)))
         except ImproperMove:
             moves.append(state.random_move(move_dim=0))
-        assert len(state._sizes) <= 50 + 50 // 16 + 1
+        assert len(state._sizes) <= 50
     kept = state.take_trajectory(480)
-    assert kept.first_round == 451
-    assert kept == tuple(moves[450:480])
+    assert isinstance(kept, Trajectory)
+    assert kept == tuple(moves[:50])
     assert state.take_trajectory(500) == ()
 
 
@@ -393,6 +417,7 @@ def test_trajectory_slices_indices_and_equality():
         assert replay(K, part) == replay(K, moves[:cut])
     for key in (slice(5, 20), slice(-5, None), slice(20, 10), slice(None, None, 2), slice(30, 3, -4)):
         assert res.trajectory[key] == moves[key], key
+        assert type(res.trajectory[key]) is tuple, key
     for i in (0, 9, 37, -1, -38):
         assert res.trajectory[i] == moves[i]
     for i in (38, -39):

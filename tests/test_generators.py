@@ -97,6 +97,17 @@ def test_perturbed_sphere_shape_and_invariants():
     assert all(not t for t in hg.torsion)
 
 
+@pytest.mark.parametrize(
+    "counts, name",
+    [((-5, 0, 0), "add_vertices"), ((2, -7, 0), "one_moves"), ((2, 7, -1), "mixed_rounds")],
+)
+def test_perturbed_sphere_rejects_negative_move_counts(counts, name):
+    with pytest.raises(InvalidSpec, match=f"perturbed sphere needs {name} >= 0"):
+        generators.perturbed_sphere(3, *counts, seed=0)
+    # a negative seed is still a seed
+    assert generators.perturbed_sphere(3, 2, 7, 1, seed=-3).dim == 3
+
+
 def test_perturbed_sphere_seeded():
     a = generators.perturbed_sphere(3, 5, 30, 10, seed=9)
     b = generators.perturbed_sphere(3, 5, 30, 10, seed=9)

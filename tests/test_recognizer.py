@@ -314,7 +314,7 @@ def test_flip_path_yes():
 
 
 def test_no_flip_path_yes_without_a_replayable_trajectory(monkeypatch):
-    # a buffer of 3 moves drops the start of the path to the simplex boundary
+    # a buffer of 3 moves keeps only the start of the path to the simplex boundary
     monkeypatch.setattr(flips, "TRAJECTORY_BUFFER", 3)
     cfg = RecognitionConfig(morse_rounds=0, pi1_budget=1, flip_rounds=10**4)
     K = generators.perturbed_sphere(3, 6, 20, 0, seed=12)
