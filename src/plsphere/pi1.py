@@ -7,7 +7,13 @@ presentation; failing that, the abelianization decides non-triviality or
 the verdict is an honest ``unknown``.
 
 One Tietze core, ``_tietze``, serves both callers.  It keeps each relator
-once and leaves the surviving generators under their original labels.
+once and leaves the surviving generators under their original labels.  It
+eliminates through the shortest relator that holds a generator exactly
+once, found from per-length heaps of the relators not read since they were
+last written, and rewrites only the relators that hold that generator.
+The budget charges only work done: a relator read costs its length, an
+elimination the letters it writes, and a subword attempt the product of
+the two lengths.
 ``tietze_simplify`` renumbers its result into a new presentation.  The
 verdict does not: it abelianizes the surviving words as they stand, whose
 dropped generators are empty columns, and builds each exponent row only
@@ -16,9 +22,9 @@ when the elimination first reads it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 
 from .complex_core import SimplicialComplex
 from .errors import DimensionOutOfRange, InvalidSpec, NotConnected
@@ -194,18 +200,20 @@ class TietzeTrace:
         return dict(self.__dict__)
 
 
-def _substitute(word: Word, g: int, repl: Word) -> list[int]:
-    """Replace every occurrence of generator g by the word ``repl``; the
-    result is not freely reduced."""
+def _rewrite(word: Word, g: int, repl: Word, inv: Word) -> tuple[Word, int]:
+    """``word`` with each g replaced by ``repl`` and each g^-1 by ``inv``,
+    its inverse, freely reduced as it is written; and the number of
+    inverse pairs cancelled."""
     out: list[int] = []
+    cancelled = 0
     for x in word:
-        if x == g:
-            out.extend(repl)
-        elif x == -g:
-            out.extend(_invert(repl))
-        else:
-            out.append(x)
-    return out
+        for y in repl if x == g else inv if x == -g else (x,):
+            if out and out[-1] == -y:
+                out.pop()
+                cancelled += 1
+            else:
+                out.append(y)
+    return tuple(out), cancelled
 
 
 def _cyclic_rotations(word: Word):
@@ -236,6 +244,17 @@ def _try_subword(long: Word, short: Word) -> tuple[Word, int] | None:
     return None
 
 
+def _single(word: Word) -> int:
+    """The least generator that occurs exactly once in ``word``, or 0."""
+    gens = [abs(x) for x in word]
+    if len(set(gens)) == len(gens):
+        return min(gens)
+    counts: dict[int, int] = {}
+    for g in gens:
+        counts[g] = counts.get(g, 0) + 1
+    return min((g for g, c in counts.items() if c == 1), default=0)
+
+
 def _tietze(
     P: GroupPresentation, effort_limit: int
 ) -> tuple[list[Word], list[int], TietzeTrace]:
@@ -245,109 +264,114 @@ def _tietze(
     and replaced where it stands."""
     if effort_limit <= 0:
         raise InvalidSpec(f"the Tietze budget must be positive, not {effort_limit}")
-    # relators by their index in P; the dict keeps their order, since a
-    # relator is only ever dropped or replaced where it stands.  P's
-    # relators are freely reduced tuples, which ``GroupPresentation`` checks
-    rel = dict(enumerate(P.relators))
-    # generator -> ids of the relators that hold it, each once, in
-    # increasing order: a list, since a set of 5 or more costs 744 bytes.
-    # An eliminated generator leaves it; the others keep their labels
-    occ: dict[int, list[int]] = {g: [] for g in range(1, P.generators + 1)}
-    for i, w in rel.items():
+    # relators by their index in P, () once deleted.  P's relators are
+    # freely reduced tuples, which ``GroupPresentation`` checks
+    rel = list(P.relators)
+    # generator -> ids of the relators it was written into, or None once it
+    # is eliminated.  A rewrite only appends, so an id may be stale or
+    # repeated
+    occ: list[list[int] | None] = [[] for _ in range(P.generators + 1)]
+    # length -> min-heap of the ids of the relators of that length that
+    # have not been read since they were last written, flagged in
+    # ``fresh``; an id whose relator has since been read, rewritten to
+    # another length or deleted is stale
+    buckets: list[list[int]] = [[]]
+    fresh = bytearray(b"\1") * len(rel)
+    for i, w in enumerate(rel):
         for x in w:
-            ids = occ[abs(x)]
-            if not ids or ids[-1] != i:
-                ids.append(i)
-    total = sum(map(len, rel.values()))
-    empty = [i for i, w in rel.items() if not w]
-    trace = TietzeTrace()
+            occ[abs(x)].append(i)
+        while len(buckets) <= len(w):
+            buckets.append([])
+        buckets[len(w)].append(i)
+    trace = TietzeTrace(empty_deletions=len(buckets[0]))
+    buckets[0] = []
+    low = 1
 
-    def spend(n: int = 1) -> bool:
+    def spend(n: int) -> bool:
         trace.operations += n
         if trace.operations > effort_limit:
             trace.budget_exhausted = True
             return False
         return True
 
-    def replace(i: int, u: Word) -> None:
-        nonlocal total
-        w = rel[i]
-        total += len(u) - len(w)
-        before, after = {abs(x) for x in w}, {abs(x) for x in u}
-        for g in before - after:
-            ids = occ[g]
-            del ids[bisect_left(ids, i)]
-        for g in after - before:
-            insort(occ[g], i)
+    def write(i: int, u: Word, gens: set[int]) -> None:
+        """Make ``u`` the i-th relator, to be read again; ``gens`` includes
+        every generator of u that the relator did not hold before."""
+        nonlocal low
+        for h in gens.difference(map(abs, rel[i])):
+            occ[h].append(i)
         rel[i] = u
         if not u:
-            empty.append(i)
+            trace.empty_deletions += 1
+            return
+        fresh[i] = 1
+        n = len(u)
+        while len(buckets) <= n:
+            buckets.append([])
+        heappush(buckets[n], i)
+        if n < low:
+            low = n
 
-    changed = True
-    while changed and not trace.budget_exhausted:
-        changed = False
+    def shortest_single() -> tuple[int, int] | None:
+        """Read the unread relators in (length, index) order up to the
+        first that holds a generator once: its id and least such
+        generator, or None when there is none or the budget runs out."""
+        nonlocal low
+        while low < len(buckets):
+            heap = buckets[low]
+            while heap:
+                i = heappop(heap)
+                w = rel[i]
+                if len(w) != low or not fresh[i]:
+                    continue
+                fresh[i] = 0
+                if not spend(low):
+                    return None
+                g = _single(w)
+                if g:
+                    return i, g
+            low += 1
+        return None
 
-        if empty:
-            trace.empty_deletions += len(empty)
-            for i in empty:
-                del rel[i]
-            empty.clear()
-            changed = True
-        if not spend():
-            break
-
-        # eliminate a generator that occurs exactly once in some relator
-        found = None
-        for ri, w in rel.items():
-            if not spend(len(w)):
-                break
-            counts: dict[int, int] = {}
-            for x in w:
-                counts[abs(x)] = counts.get(abs(x), 0) + 1
-            single = [g for g, c in counts.items() if c == 1]
-            if single:
-                found = ri, w, min(single)
-                break
-        if found is not None:
-            ri, w, g = found
-            i = next(j for j, x in enumerate(w) if abs(x) == g)
+    while True:
+        # eliminate through the shortest relator holding a generator once
+        while (found := shortest_single()) is not None:
+            ri, g = found
+            w = rel[ri]
+            i = w.index(g) if g in w else w.index(-g)
             # rotate so the single occurrence leads, then solve for g
             rot = w[i:] + w[:i]
-            repl = _invert(rot[1:]) if rot[0] > 0 else rot[1:]
-            rewritten = {}
-            cancelled = 0
-            charge = total - len(w)
+            rest = rot[1:]
+            repl, inv = (_invert(rest), rest) if rot[0] > 0 else (rest, _invert(rest))
+            rewritten: dict[int, tuple[Word, int]] = {}
+            cancelled = charge = 0
             for j in occ[g]:
-                if j == ri:
+                u = rel[j]
+                if j == ri or j in rewritten or (g not in u and -g not in u):
                     continue
-                raw = _substitute(rel[j], g, repl)
-                u = rewritten[j] = free_reduce(raw)
-                cancelled += (len(raw) - len(u)) // 2
-                charge += len(u) - len(rel[j])
+                u, c = rewritten[j] = _rewrite(u, g, repl, inv)
+                cancelled += c
+                charge += len(u)
             if not spend(charge):
                 break
-            for h in {abs(x) for x in w}:
-                ids = occ[h]
-                del ids[bisect_left(ids, ri)]
-            del rel[ri]
-            total -= len(w)
-            for j, u in rewritten.items():
-                replace(j, u)
-            del occ[g]
+            rel[ri] = ()
+            occ[g] = None
+            # the generators of repl are the only ones a rewrite can add
+            added = {abs(x) for x in repl}
+            for j, (u, _) in rewritten.items():
+                write(j, u, added)
             trace.free_reductions += cancelled
             trace.generators_eliminated += 1
-            changed = True
-            continue
         if trace.budget_exhausted:
             break
 
         # greedy length-reducing subword replacement
-        order = sorted(rel, key=lambda i: len(rel[i]))
-        for si in order:
+        live = [i for i, w in enumerate(rel) if w]
+        changed = False
+        for si in sorted(live, key=lambda i: len(rel[i])):
             short = rel[si]
-            if not short:
-                continue
-            for li, long in rel.items():
+            for li in live:
+                long = rel[li]
                 if li == si or len(long) < len(short):
                     continue
                 if not spend(len(long) * len(short)):
@@ -355,14 +379,17 @@ def _tietze(
                 shorter = _try_subword(long, short)
                 if shorter is not None:
                     u, cancelled = shorter
-                    replace(li, u)
+                    write(li, u, {abs(x) for x in u})
                     trace.free_reductions += cancelled
                     trace.subword_replacements += 1
                     changed = True
             if changed or trace.budget_exhausted:
                 break
+        if not changed or trace.budget_exhausted:
+            break
 
-    return [w for w in rel.values() if w], list(occ), trace
+    labels = [g for g in range(1, P.generators + 1) if occ[g] is not None]
+    return [w for w in rel if w], labels, trace
 
 
 def tietze_simplify(
@@ -375,13 +402,17 @@ def tietze_simplify(
     length-reducing subword replacement, to a fixpoint or until the budget
     is spent.  The resulting presentation is of an isomorphic group.
 
-    The budget counts operations: 1 per round; each relator scanned for a
-    generator to eliminate costs its length; an elimination costs the total
-    relator length after its rewrite; each subword attempt costs the product
-    of the two lengths.  A step whose charge overruns the budget is not
-    applied.  An elimination rewrites only the relators that hold the
-    generator, found through an index from each generator to its relators;
-    the charge is the same as rewriting them all.
+    Each elimination goes through the shortest relator that holds some
+    generator exactly once, the lowest-indexed among equally short ones,
+    and eliminates the least such generator.  A subword pass runs only
+    when no relator holds a generator once.
+
+    The budget counts operations, and only work done: reading a relator to
+    look for a generator that occurs in it once costs its length, and a
+    relator is read again only after it is rewritten; an elimination costs
+    the letters it writes into the relators it rewrites, those that hold
+    the generator; each subword attempt costs the product of the two
+    lengths.  A step whose charge overruns the budget is not applied.
 
     This is the Tietze core ``_tietze`` with its surviving generators
     numbered 1, 2, ... in their original order; ``triviality_verdict``

@@ -9,9 +9,11 @@ Euler characteristic is 2, for d = 2.  For d >= 3 it runs, in order: random
 discrete Morse searches (a spherical vector certifies YES), integral homology
 (a non-spherical answer certifies NO), budgeted Tietze simplification of a
 fundamental-group presentation (an emptied one certifies YES off dimension
-4, where only the topological type follows), and bistellar simplification
-toward the boundary of a simplex (YES only when the whole move trajectory
-was kept).  Every YES or NO carries a replayable certificate; anything else
+4), and bistellar simplification toward the boundary of a simplex (YES only
+when the whole move trajectory was kept).  In dimension 4 an emptied
+presentation pins only the topological type, so the flips run after it,
+and it certifies TOPOLOGICAL_SPHERE_ONLY when they do not reach the simplex
+boundary.  Every YES or NO carries a replayable certificate; anything else
 is reported UNDECIDED.
 
 :func:`is_combinatorial_manifold` establishes the second fact.  The link of
@@ -172,16 +174,14 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
     # H_1 = 0 here, so pi1 has a trivial abelianization and is never shown
     # non-trivial: only a presentation with no generator left decides
     _, labels, trace = _tietze(pi1_presentation(K, base_tree_seed=cfg.seed), cfg.pi1_budget)
+    trivial = None
     if not labels:
-        pv = TrivialityVerdict(Pi1Verdict.TRIVIAL, trace=trace)
+        trivial = Certificate("trivial_pi1", TrivialityVerdict(Pi1Verdict.TRIVIAL, trace=trace))
         log.append("pi1: presentation simplified to trivial")
-        if d == 4:
-            # simply connected homology 4-sphere: topological type only
-            return Verdict(
-                Answer.TOPOLOGICAL_SPHERE_ONLY, Certificate("trivial_pi1", pv), log
-            )
-        return Verdict(Answer.YES, Certificate("trivial_pi1", pv), log)
-    log.append("pi1: inconclusive at budget")
+        if d != 4:
+            return Verdict(Answer.YES, trivial, log)
+    else:
+        log.append("pi1: inconclusive at budget")
 
     if cfg.flip_rounds > 0:
         result = bistellar_simplify(K, seed=cfg.seed, max_rounds=cfg.flip_rounds)
@@ -197,6 +197,10 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
         else:
             log.append(f"flips: best f-vector {result.best_f} after {result.rounds} rounds")
 
+    if trivial is not None:
+        # a simply connected homology 4-sphere that the flips did not
+        # reduce: its topological type only
+        return Verdict(Answer.TOPOLOGICAL_SPHERE_ONLY, trivial, log)
     return Verdict(Answer.UNDECIDED, None, log)
 
 

@@ -3,8 +3,8 @@
 Everything but the last section is written from first principles
 (definitions, not the library's algorithms) so that test expectations are
 genuinely independent of the code under test.  The last section keeps the
-library's earlier homology and Tietze kernels, its earlier π₁ verdict,
-its earlier barycentric
+library's earlier homology kernel, a plain list version of its Tietze rule,
+its earlier π₁ verdict, its earlier barycentric
 subdivision, its earlier manifold check, its earlier spectrum, its earlier
 rule for maximal input faces and its earlier trajectory recording (one
 ``FlipMove`` object per move), whose outputs the current ones must repeat
@@ -41,7 +41,6 @@ from plsphere.pi1 import (
     TrivialityVerdict,
     Verdict,
     _invert,
-    _substitute,
     _try_subword,
     free_reduce,
     tietze_simplify,
@@ -260,13 +259,14 @@ def is_sphere_small_dim_naive(facets):
     )
 
 
-# -- the invariant kernels as they were before clearing and the occurrence
-# index, the π₁ verdict as it was before the Tietze core, the subdivision
-# as it was before it walked the Hasse diagram, and the manifold check as
-# it was before its order-type link cache.  These are the library's earlier
-# algorithms, not first principles: the faster kernels must give exactly
-# their invariants, presentations, Tietze traces, verdicts, facets and
-# manifold reports.
+# -- the homology kernel as it was before clearing, the Tietze rule on a
+# plain relator list with full scans in place of the length heaps and the
+# occurrence index, the π₁ verdict as it was before the Tietze core, the
+# subdivision as it was before it walked the Hasse diagram, and the
+# manifold check as it was before its order-type link cache.  These are the
+# library's algorithms in plain form, not first principles: the faster
+# kernels must give exactly their invariants, presentations, Tietze traces,
+# verdicts, facets and manifold reports.
 
 
 def barycentric_subdivision_permutations(K):
@@ -308,14 +308,32 @@ def homology_full(K, coefficients="Z", reduced=False):
     return HomologyGroups(tuple(betti), tuple(torsion), reduced, label)
 
 
+def _substitute(word, g, repl):
+    """Replace every occurrence of generator g by the word ``repl``; the
+    result is not freely reduced."""
+    out = []
+    for x in word:
+        if x == g:
+            out.extend(repl)
+        elif x == -g:
+            out.extend(_invert(repl))
+        else:
+            out.append(x)
+    return out
+
+
 def tietze_simplify_list(P, effort_limit):
     """``tietze_simplify`` on a plain relator list that every elimination
-    rewrites whole.  Returns the presentation, the trace, and the step whose
-    charge ran out of budget ("round", "scan", "eliminate", "subword") or
-    None."""
-    relators = [free_reduce(w) for w in P.relators]
+    rewrites whole, finding each eliminating relator by a full scan in
+    (length, index) order.  A relator read since it was last written holds
+    no generator once, and is not read again.  Returns the presentation,
+    the trace, and the step whose charge ran out of budget ("scan",
+    "eliminate", "subword") or None."""
+    # each relator keeps its index in P; an emptied one is None
+    relators = [w or None for w in P.relators]
+    read = set()
     dropped = set()
-    trace = TietzeTrace()
+    trace = TietzeTrace(empty_deletions=relators.count(None))
     phase = None
 
     def spend(n, step):
@@ -327,22 +345,26 @@ def tietze_simplify_list(P, effort_limit):
             return False
         return True
 
-    changed = True
-    while changed and not trace.budget_exhausted:
-        changed = False
+    def live():
+        return [i for i, w in enumerate(relators) if w is not None]
 
-        kept = [w for w in relators if w]
-        if len(kept) != len(relators):
-            trace.empty_deletions += len(relators) - len(kept)
-            relators = kept
-            changed = True
-        if not spend(1, "round"):
-            break
+    def write(i, u):
+        read.discard(i)
+        if u:
+            relators[i] = u
+        else:
+            relators[i] = None
+            trace.empty_deletions += 1
 
+    while True:
         eliminated = False
-        for ri, w in enumerate(relators):
+        for ri in sorted(live(), key=lambda i: (len(relators[i]), i)):
+            if ri in read:
+                continue
+            w = relators[ri]
             if not spend(len(w), "scan"):
                 break
+            read.add(ri)
             counts = {}
             for x in w:
                 counts[abs(x)] = counts.get(abs(x), 0) + 1
@@ -353,47 +375,49 @@ def tietze_simplify_list(P, effort_limit):
             i = next(j for j, x in enumerate(w) if abs(x) == g)
             rot = w[i:] + w[:i]
             repl = _invert(rot[1:]) if rot[0] > 0 else rot[1:]
-            rest = []
+            rewritten = {}
             cancelled = 0
-            for u in relators[:ri] + relators[ri + 1:]:
-                if g in u or -g in u:
+            for j in live():
+                u = relators[j]
+                if j != ri and (g in u or -g in u):
                     raw = _substitute(u, g, repl)
-                    u = free_reduce(raw)
-                    cancelled += (len(raw) - len(u)) // 2
-                rest.append(u)
-            if not spend(sum(len(u) for u in rest), "eliminate"):
+                    rewritten[j] = free_reduce(raw)
+                    cancelled += (len(raw) - len(rewritten[j])) // 2
+            if not spend(sum(map(len, rewritten.values())), "eliminate"):
                 break
-            relators = rest
+            relators[ri] = None
+            for j, u in rewritten.items():
+                write(j, u)
             trace.free_reductions += cancelled
             dropped.add(g)
             trace.generators_eliminated += 1
             eliminated = True
-            changed = True
             break
-        if eliminated or trace.budget_exhausted:
+        if trace.budget_exhausted:
+            break
+        if eliminated:
             continue
 
-        order = sorted(range(len(relators)), key=lambda i: len(relators[i]))
-        for si in order:
+        changed = False
+        for si in sorted(live(), key=lambda i: len(relators[i])):
             short = relators[si]
-            if not short:
-                continue
-            for li in range(len(relators)):
-                if li == si:
-                    continue
+            for li in live():
                 long = relators[li]
-                if len(long) < len(short):
+                if li == si or len(long) < len(short):
                     continue
                 if not spend(len(long) * len(short), "subword"):
                     break
                 found = _try_subword(long, short)
                 if found is not None:
-                    relators[li], cancelled = found
+                    u, cancelled = found
+                    write(li, u)
                     trace.free_reductions += cancelled
                     trace.subword_replacements += 1
                     changed = True
             if changed or trace.budget_exhausted:
                 break
+        if not changed or trace.budget_exhausted:
+            break
 
     labels = [g for g in range(1, P.generators + 1) if g not in dropped]
     new = {g: i for i, g in enumerate(labels, 1)}

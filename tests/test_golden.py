@@ -123,8 +123,8 @@ CASES = {
     "pi1_rp2_6_seed0.json": lambda: _json("pi1", "rp2_6", "--seed", "0"),
     "pi1_sd1_bd4_seed1.json": lambda: _json("pi1", "sd:1:bd_simplex:4", "--seed", "1"),
     # the budget runs out, so this pins the Tietze operation count
-    "pi1_sd1_bd5_seed0_budget100000.json": lambda: _json(
-        "pi1", "sd:1:bd_simplex:5", "--seed", "0", "--budget", "100000"
+    "pi1_sd1_bd5_seed0_budget1000.json": lambda: _json(
+        "pi1", "sd:1:bd_simplex:5", "--seed", "0", "--budget", "1000"
     ),
 }
 

@@ -9,7 +9,6 @@ from plsphere.complex_core import SimplicialComplex
 from plsphere.errors import DimensionOutOfRange, NotConnected
 from plsphere.homology import smith_normal_form
 from plsphere.pi1 import (
-    DEFAULT_BUDGET,
     GroupPresentation,
     Verdict,
     free_reduce,
@@ -23,7 +22,7 @@ G3 = GroupPresentation(2, ((1, 2, 1, -2, -1, -2), (1, 1, 1, -2, -2)))
 
 #: no generator occurs once in a relator, so simplification starts with
 #: subword moves; they expose three eliminations, which rewrite several
-#: relators and empty one.  Unbounded it costs 581 operations.
+#: relators and empty one.  Unbounded it costs 547 operations.
 SUBWORD_FIRST = GroupPresentation(
     3,
     (
@@ -214,11 +213,22 @@ def test_tietze_matches_list_oracle_at_every_budget():
         assert tietze_simplify(SUBWORD_FIRST, budget) == (want, want_trace), budget
         steps.add(step)
     # the budget runs out in each step that charges it, and not at all
-    assert steps == {"round", "scan", "eliminate", "subword", None}
+    assert steps == {"scan", "eliminate", "subword", None}
 
 
-@pytest.mark.parametrize("budget", [10**3, 10**4, 10**5])
+def test_tietze_matches_list_oracle_on_random_presentations():
+    rng = Rng(1303)
+    for _ in range(100):
+        P = _random_presentation(rng)
+        _, unbounded, _ = tietze_simplify_list(P, 10**9)
+        for budget in range(1, unbounded.operations + 2):
+            want, want_trace, _ = tietze_simplify_list(P, budget)
+            assert tietze_simplify(P, budget) == (want, want_trace), (P, budget)
+
+
+@pytest.mark.parametrize("budget", [10**2, 10**3, 10**4])
 def test_tietze_matches_list_oracle_on_sd1_bd5(budget):
+    # unbounded the simplification costs 4197 operations
     P = pi1_presentation(generators.boundary_of_simplex(5).barycentric_subdivision(), base_tree_seed=0)
     want, want_trace, _ = tietze_simplify_list(P, budget)
     assert tietze_simplify(P, budget) == (want, want_trace)
@@ -241,7 +251,7 @@ def _verdict_inputs():
     yield FREE_AND_TORSION
 
 
-@pytest.mark.parametrize("budget", [10**2, 10**4, 10**6])
+@pytest.mark.parametrize("budget", [10**2, 10**3, 10**6])
 def test_verdict_matches_the_renumbered_presentation_path(budget):
     spent = 0
     for P in _verdict_inputs():
@@ -264,10 +274,11 @@ def _peak(fn):
 
 def test_verdict_peak_below_the_renumbered_presentation_path():
     """No renumbered copy, and exponent rows alive only from first touch to
-    retirement: 0.56 of the peak of the path through ``tietze_simplify``
+    retirement: 0.54 of the peak of the path through ``tietze_simplify``
     and a matrix built up front, which itself read 1.0 when the verdict
-    took that path."""
+    took that path.  A budget of 10^3 runs out after 145 of the 2881
+    eliminations, so most of the presentation is abelianized."""
     P = pi1_presentation(cli.resolve_complex("sd:2:bd_simplex:4"), base_tree_seed=0)
-    oracle = _peak(lambda: triviality_verdict_renumbered(P, DEFAULT_BUDGET))
-    verdict = _peak(lambda: triviality_verdict(P, DEFAULT_BUDGET))
+    oracle = _peak(lambda: triviality_verdict_renumbered(P, 10**3))
+    verdict = _peak(lambda: triviality_verdict(P, 10**3))
     assert verdict <= 0.8 * oracle, verdict / oracle

@@ -249,6 +249,16 @@ def test_pi1_path_and_dimension_4_guard():
     assert v4.certificate.kind == "trivial_pi1"
 
 
+def test_dimension_4_runs_the_flips_after_a_trivial_pi1():
+    # a trivial pi1 pins only the topological type in dimension 4, so the
+    # flips still get their turn at a PL certificate
+    cfg = RecognitionConfig(morse_rounds=0, flip_rounds=10**4)
+    v = recognize_sphere(generators.boundary_of_simplex(5), cfg)
+    assert v.answer is Answer.YES
+    assert v.certificate.kind == "flip_path"
+    assert v.log[:2] == ["homology: spherical", "pi1: presentation simplified to trivial"]
+
+
 @pytest.mark.parametrize(
     "K, cfg, want, trace",
     [
@@ -257,11 +267,11 @@ def test_pi1_path_and_dimension_4_guard():
             RecognitionConfig(morse_rounds=0, flip_rounds=0),
             ("YES", ["homology: spherical", "pi1: presentation simplified to trivial"]),
             {
-                "free_reductions": 6,
+                "free_reductions": 0,
                 "empty_deletions": 4,
                 "generators_eliminated": 6,
                 "subword_replacements": 0,
-                "operations": 78,
+                "operations": 18,
                 "budget_exhausted": False,
             },
         ),
