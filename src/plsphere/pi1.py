@@ -1,10 +1,10 @@
 """Fundamental-group presentations and a bounded triviality test.
 
 The presentation comes from a seeded random spanning tree of the
-1-skeleton (non-tree edges are generators, 2-faces give relators).  A
-budgeted round of Tietze simplification then tries to empty the
-presentation; failing that, the abelianization decides non-triviality or
-the verdict is an honest ``unknown``.
+1-skeleton (non-tree edges are generators, 2-faces give relators), which
+also decides connectivity.  A budgeted round of Tietze simplification then
+tries to empty the presentation; failing that, the abelianization decides
+non-triviality or the verdict is an honest ``unknown``.
 
 One Tietze core, ``_tietze``, serves both callers.  It keeps each relator
 once and leaves the surviving generators under their original labels.  It
@@ -133,14 +133,14 @@ def pi1_presentation(K: SimplicialComplex, base_tree_seed: int = 0) -> GroupPres
 
     Generators are the 1-skeleton edges outside a seeded random spanning
     tree; each 2-face {a<b<c} contributes the relator reading a->b->c->a,
-    with tree edges contributing the identity.
+    with tree edges contributing the identity.  ``NotConnected`` if the
+    tree misses a vertex.
     """
     if K.dim < 2:
         raise DimensionOutOfRange("fundamental group needs dimension >= 2")
-    if not K.is_connected():
-        raise NotConnected("fundamental group of a disconnected complex")
 
-    verts = list(K.vertices)
+    verts = K.vertices
+    # the edges come in lex order, so each adjacency list is ascending
     adj: dict[int, list[int]] = {v: [] for v in verts}
     for a, b in K.faces(1):
         adj[a].append(b)
@@ -154,7 +154,7 @@ def pi1_presentation(K: SimplicialComplex, base_tree_seed: int = 0) -> GroupPres
         nxt: list[int] = []
         rng.shuffle(frontier)
         for v in frontier:
-            nbrs = sorted(adj[v])
+            nbrs = adj[v][:]
             rng.shuffle(nbrs)
             for w in nbrs:
                 if w not in seen:
@@ -162,26 +162,21 @@ def pi1_presentation(K: SimplicialComplex, base_tree_seed: int = 0) -> GroupPres
                     tree.add((min(v, w), max(v, w)))
                     nxt.append(w)
         frontier = nxt
+    if len(seen) < len(verts):
+        raise NotConnected("fundamental group of a disconnected complex")
 
-    gen_index: dict[tuple[int, int], int] = {}
+    gen: dict[tuple[int, int], int] = {}
     for e in K.faces(1):
         if e not in tree:
-            gen_index[e] = len(gen_index) + 1
-
-    def letter(u: int, v: int) -> tuple[int, ...]:
-        e = (u, v) if u < v else (v, u)
-        g = gen_index.get(e)
-        if g is None:
-            return ()
-        return (g,) if u < v else (-g,)
-
+            gen[e] = len(gen) + 1
     relators = []
     for a, b, c in K.faces(2):
-        # three distinct edges give distinct generators: w is reduced
-        w = letter(a, b) + letter(b, c) + letter(c, a)
+        # tree edges read 0 and drop out; three distinct edges give
+        # distinct generators, so w is reduced
+        w = tuple(filter(None, (gen.get((a, b), 0), gen.get((b, c), 0), -gen.get((a, c), 0))))
         if w:
             relators.append(w)
-    return GroupPresentation(len(gen_index), tuple(relators))
+    return GroupPresentation(len(gen), tuple(relators))
 
 
 @dataclass

@@ -180,8 +180,10 @@ def recognize_sphere(K: SimplicialComplex, cfg: RecognitionConfig | None = None)
         log.append("pi1: presentation simplified to trivial")
         if d != 4:
             return Verdict(Answer.YES, trivial, log)
-    else:
+    elif trace.budget_exhausted:
         log.append("pi1: inconclusive at budget")
+    else:
+        log.append(f"pi1: {len(labels)} generators left, budget not exhausted")
 
     if cfg.flip_rounds > 0:
         result = bistellar_simplify(K, seed=cfg.seed, max_rounds=cfg.flip_rounds)

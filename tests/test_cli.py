@@ -233,6 +233,17 @@ def test_capacity_exit_70_before_enumerating(capsys):
     assert err.startswith("plsphere: capacity exceeded")
 
 
+def test_pi1_of_a_disconnected_input_over_the_face_budget_exits_70(tmp_path, capsys):
+    # 2 (2^24 - 1) faces: the edge list checks the face budget before the
+    # spanning tree can find the two components
+    path = tmp_path / "two-facets.fct"
+    path.write_text(f"{' '.join(map(str, range(24)))}\n{' '.join(map(str, range(24, 48)))}\n")
+    code, out, err = run(capsys, "pi1", str(path))
+    assert code == 70
+    assert out == ""
+    assert err.startswith("plsphere: capacity exceeded")
+
+
 def _limit_address_space():
     # if a refusal is missing, the build ends in a MemoryError, not in the
     # host's out-of-memory killer

@@ -1,10 +1,10 @@
 """Known-answer files: seeded outputs pinned across commits.
 
 Each file under ``golden/`` is the exact text of one seeded computation:
-sha256 digests of subdivided complexes, Morse spectra, ``morse
---certificate`` matchings, perturbed spheres with their flip trajectories,
-``recognize --format json`` reports, one per answer kind, and
-``homology``/``pi1 --format json`` reports.  A change that
+sha256 digests of subdivided complexes and of π₁ presentations, Morse
+spectra, ``morse --certificate`` matchings, perturbed spheres with their
+flip trajectories, ``recognize --format json`` reports, one per answer
+kind, and ``homology``/``pi1 --format json`` reports.  A change that
 alters any of them changes a seeded output; regenerate the files only for
 such a change made on purpose, and say so in CHANGES.md:
 
@@ -27,6 +27,7 @@ from plsphere import generators, io
 from plsphere.cli import main, resolve_complex
 from plsphere.flips import bistellar_simplify, trajectory_tsv
 from plsphere.morse import Strategy, morse_spectrum, spectrum_tsv
+from plsphere.pi1 import pi1_presentation
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -59,6 +60,14 @@ def _subdivision_digests(*specs: str) -> str:
         f"{spec} {hashlib.sha256(io.facet_text(resolve_complex(spec)).encode()).hexdigest()}\n"
         for spec in specs
     )
+
+
+def _presentation_digests(*cases: tuple[str, int]) -> str:
+    lines = []
+    for spec, seed in cases:
+        text = pi1_presentation(resolve_complex(spec), seed).export_text()
+        lines.append(f"{spec} {seed} {hashlib.sha256(text.encode()).hexdigest()}\n")
+    return "".join(lines)
 
 
 def _recognize(*argv: str) -> str:
@@ -103,6 +112,14 @@ CASES = {
     # the facets of the paper's subdivided inputs, criterion 5's among them
     "subdivision_sha256.txt": lambda: _subdivision_digests(
         "sd:1:bd_simplex:5", "sd:2:bd_simplex:4", "sd:3:bd_simplex:4"
+    ),
+    # the edge-path presentations themselves, at several tree seeds
+    "pi1_presentation_sha256.txt": lambda: _presentation_digests(
+        ("rp2_6", 0),
+        ("saw_blade:3", 2),
+        ("sd:1:bd_simplex:4", 1),
+        ("sd:2:bd_simplex:4", 3),
+        ("sd:1:bd_simplex:5", 0),
     ),
     "recognize_yes_bd_simplex_4.json": lambda: _recognize("bd_simplex:4"),
     "recognize_no_susp_rp2_6.json": _recognize_suspended_rp2,

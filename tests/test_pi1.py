@@ -2,6 +2,8 @@ import gc
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import tietze_simplify_list, triviality_verdict_renumbered
 from plsphere import cli, generators, homology
@@ -64,6 +66,46 @@ def test_preconditions():
         pi1_presentation(SimplicialComplex([(0, 1), (1, 2), (0, 2)]))
     with pytest.raises(NotConnected):
         pi1_presentation(SimplicialComplex([(0, 1, 2), (3, 4, 5)]))
+
+
+def test_the_spanning_tree_decides_connectivity(monkeypatch):
+    K = generators.boundary_of_simplex(4).barycentric_subdivision()
+    want = [pi1_presentation(K, base_tree_seed=s) for s in range(3)]
+
+    def refuse(self):
+        raise AssertionError("a second connectivity pass")
+
+    monkeypatch.setattr(SimplicialComplex, "is_connected", refuse)
+    assert [pi1_presentation(K, base_tree_seed=s) for s in range(3)] == want
+    with pytest.raises(NotConnected, match="^fundamental group of a disconnected complex$"):
+        pi1_presentation(SimplicialComplex([(0, 1, 2), (3, 4, 5)]))
+
+
+@st.composite
+def pure_complexes(draw):
+    """A pure 2- or 3-complex on a few vertices, or a disjoint union of two."""
+    d = draw(st.integers(2, 3))
+    facet = st.lists(st.integers(0, 7), min_size=d + 1, max_size=d + 1, unique=True)
+    parts = draw(st.lists(st.lists(facet, min_size=1, max_size=8), min_size=1, max_size=2))
+    # the second part's labels start past the first's
+    return SimplicialComplex.from_facets(
+        [v + 8 * i for v in f] for i, part in enumerate(parts) for f in part
+    )
+
+
+@given(pure_complexes(), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_presentation_shape_on_random_complexes(K, seed):
+    if not K.is_connected():
+        with pytest.raises(NotConnected):
+            pi1_presentation(K, base_tree_seed=seed)
+        return
+    P = pi1_presentation(K, base_tree_seed=seed)
+    f0, f1 = K.f_vector()[:2]
+    assert P.generators == f1 - f0 + 1
+    for w in P.relators:
+        assert 1 <= len(w) <= 3
+        assert len({abs(x) for x in w}) == len(w)
 
 
 def test_single_generator_trivial():

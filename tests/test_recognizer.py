@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import is_combinatorial_manifold_per_face, is_sphere_small_dim_naive
-from plsphere import flips, generators, recognizer
+from plsphere import flips, generators, pi1, recognizer
 from plsphere.complex_core import SimplicialComplex
 from plsphere.errors import PrereqFailed
 from plsphere.morse import Strategy
@@ -286,11 +286,12 @@ def test_dimension_4_runs_the_flips_after_a_trivial_pi1():
 )
 def test_pi1_stage_needs_no_abelianization(monkeypatch, K, cfg, want, trace):
     # homology has shown H_1 = 0, so the pi1 stage only tries to empty the
-    # presentation
-    def refuse(P):
+    # presentation: neither the method nor the verdict's own path abelianizes
+    def refuse(*args):
         raise AssertionError("the abelianization is not needed here")
 
     monkeypatch.setattr(GroupPresentation, "abelianization", refuse)
+    monkeypatch.setattr(pi1, "_abelianization", refuse)
     v = recognize_sphere(K, cfg)
     assert (v.answer.value, v.log) == want
     if trace is None:
@@ -298,6 +299,16 @@ def test_pi1_stage_needs_no_abelianization(monkeypatch, K, cfg, want, trace):
     else:
         assert v.certificate.kind == "trivial_pi1"
         assert v.certificate.payload.as_dict() == {"verdict": "trivial", "trace": trace}
+
+
+def test_pi1_log_says_when_tietze_stops_with_budget_left(monkeypatch):
+    # Tietze leaves G3 at 2 generators after 41 operations
+    G3 = GroupPresentation(2, ((1, 2, 1, -2, -1, -2), (1, 1, 1, -2, -2)))
+    monkeypatch.setattr(recognizer, "pi1_presentation", lambda K, base_tree_seed: G3)
+    cfg = RecognitionConfig(morse_rounds=0, flip_rounds=0)
+    v = recognize_sphere(generators.boundary_of_simplex(4), cfg)
+    assert v.answer is Answer.UNDECIDED
+    assert v.log == ["homology: spherical", "pi1: 2 generators left, budget not exhausted"]
 
 
 def test_homology_no_path():
