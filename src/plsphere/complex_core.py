@@ -8,6 +8,7 @@ boundary-matrix orientations and the lex collapse strategies.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import combinations
 from math import factorial
 
@@ -21,8 +22,8 @@ from .errors import (
 
 Face = tuple  # strictly increasing tuple of ints
 
-#: the face budget, read at call time: at about 174 bytes of peak RSS per
-#: face (``check simplex:19``, 2^20 - 1 faces), 2^23 faces is about 1.5 GB
+#: the face budget, read at call time: at about 160 bytes of peak RSS per
+#: face (``check simplex:19``, 2^20 - 1 faces), 2^23 faces is about 1.3 GB
 DEFAULT_CAPACITY = 2**23
 
 
@@ -97,11 +98,16 @@ class SimplicialComplex:
             seen = [set() for _ in range(self.dim + 1)]
             for f in self.facets:
                 seen[len(f) - 1].add(f)
-            for k in range(self.dim, 0, -1):
-                lower = seen[k - 1]
-                for f in seen[k]:
-                    lower.update(combinations(f, k))
-            self._faces_by_dim = [sorted(s) for s in seen]
+            # top down: a level is whole once the level above has fed it, so
+            # it is sorted then and its set dropped before the next is fed
+            levels = [None] * len(seen)
+            for k in range(self.dim, -1, -1):
+                level = levels[k] = sorted(seen.pop())
+                if k:
+                    lower = seen[k - 1]
+                    for f in level:
+                        lower.update(combinations(f, k))
+            self._faces_by_dim = levels
         return self._faces_by_dim
 
     def faces(self, k: int) -> list[Face]:
@@ -217,7 +223,7 @@ class SimplicialComplex:
         H = self.hasse()
         new_facets = []
         for facet in self.facets:
-            chains = [(H.index[facet],)]
+            chains = [(H.node(facet),)]
             while H.down[chains[0][-1]]:  # one facet's chains all have its length
                 chains = [c + (b,) for c in chains for b in H.down[c[-1]]]
             new_facets.extend(c[::-1] for c in chains)
@@ -229,16 +235,17 @@ class HasseDiagram:
 
     This is the complex's one face numbering: nodes are numbered in
     (dimension, lex) order, ``faces[node]`` is the face of a node and
-    ``index[face]`` its node; ``level_start[k]`` is the first node of
-    dimension k.  ``down[node]`` is a tuple of the node ids of
-    the k-face's facets in ``combinations(face, k)`` order, so its entry j
-    omits vertex k - j; ``up[node]`` is a tuple of the node ids of the faces
-    one dimension up that contain it.  The empty face is not materialized.
-    The diagram itself is immutable after :func:`build_hasse`; destructive
-    algorithms keep private alive-flag / coface-count arrays per run.
+    ``node(face)`` its node, found by bisection in the face's level;
+    ``level_start[k]`` is the first node of dimension k.  ``down[node]`` is
+    a tuple of the node ids of the k-face's facets in
+    ``combinations(face, k)`` order, so its entry j omits vertex k - j;
+    ``up[node]`` is a tuple of the node ids of the faces one dimension up
+    that contain it.  The empty face is not materialized.  The diagram
+    itself is immutable after :func:`build_hasse`; destructive algorithms
+    keep private alive-flag / coface-count arrays per run.
     """
 
-    __slots__ = ("dim", "faces", "index", "level_start", "up", "down")
+    __slots__ = ("dim", "faces", "level_start", "up", "down")
 
     def level_range(self, k: int) -> range:
         return range(self.level_start[k], self.level_start[k + 1])
@@ -246,37 +253,55 @@ class HasseDiagram:
     def n_nodes(self) -> int:
         return len(self.faces)
 
+    def node(self, face):
+        """The node of the sorted tuple ``face``, or None if it is no face."""
+        k = len(face) - 1
+        if not 0 <= k <= self.dim:
+            return None
+        hi = self.level_start[k + 1]
+        node = bisect_left(self.faces, face, self.level_start[k], hi)
+        return node if node < hi and self.faces[node] == face else None
+
 
 def build_hasse(K: SimplicialComplex) -> HasseDiagram:
-    """Construct the full Hasse diagram of K by level-wise generation."""
+    """Construct the full Hasse diagram of K by level-wise generation.
+
+    Level k is numbered from a dict made for it alone, which numbers the
+    down arcs of level k + 1 and is then dropped; level k's up lists are
+    turned into tuples as soon as level k + 1 has filled them.  Node ids are
+    those dicts' own int objects, one per node, shared by every tuple.
+    """
     levels = K.faces_by_dim()
-    total = sum(len(level) for level in levels)
 
     H = HasseDiagram()
     H.dim = K.dim
     faces: list[Face] = []
     level_start = [0]
-    index: dict = {}
     for level in levels:
-        for f in level:
-            index[f] = len(faces)
-            faces.append(f)
+        faces.extend(level)
         level_start.append(len(faces))
     H.faces = faces
-    H.index = index
     H.level_start = level_start
 
-    # node ids are the index's own int objects, shared by every tuple
     down: list[tuple] = []
-    up: list = [[] for _ in range(total)]
-    node_of = index.__getitem__
-    for f, node in index.items():
-        subs = tuple(map(node_of, combinations(f, len(f) - 1))) if len(f) > 1 else ()
-        down.append(subs)
-        for sub in subs:
-            up[sub].append(node)
-    for i, lst in enumerate(up):
-        up[i] = tuple(lst)
+    up: list[tuple] = []
+    below: dict = {}
+    for k, level in enumerate(levels):
+        here = dict(zip(level, range(level_start[k], level_start[k + 1])))
+        if k:
+            base = level_start[k - 1]
+            ups: list = [[] for _ in below]
+            node_of = below.__getitem__
+            for f, node in here.items():
+                subs = tuple(map(node_of, combinations(f, k)))
+                down.append(subs)
+                for sub in subs:
+                    ups[sub - base].append(node)
+            up.extend(map(tuple, ups))
+        else:
+            down.extend(() for _ in level)
+        below = here
+    up.extend(() for _ in below)
     H.down = down
     H.up = up
     return H

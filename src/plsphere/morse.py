@@ -255,8 +255,8 @@ def verify_acyclic_matching(H: HasseDiagram, result: MorseResult) -> bool:
     """
     matched_up: dict[int, int] = {}
     for low_face, high_face in result.matching:
-        lo = H.index.get(tuple(sorted(low_face)))
-        hi = H.index.get(tuple(sorted(high_face)))
+        lo = H.node(tuple(sorted(low_face)))
+        hi = H.node(tuple(sorted(high_face)))
         if lo is None or hi is None or lo not in H.down[hi]:
             raise InconsistentMatching(f"pair {low_face} < {high_face} is not an incidence")
         if lo in matched_up:

@@ -4,8 +4,8 @@ Everything but the last section is written from first principles
 (definitions, not the library's algorithms) so that test expectations are
 genuinely independent of the code under test.  The last section keeps the
 library's earlier homology kernel, a plain list version of its Tietze rule,
-its earlier π₁ verdict, its earlier barycentric
-subdivision, its earlier manifold check, its earlier spectrum, its earlier
+its earlier π₁ verdict, its earlier barycentric subdivision, its earlier
+Hasse diagram, its earlier manifold check, its earlier spectrum, its earlier
 rule for maximal input faces and its earlier trajectory recording (one
 ``FlipMove`` object per move), whose outputs the current ones must repeat
 exactly.
@@ -262,11 +262,12 @@ def is_sphere_small_dim_naive(facets):
 # -- the homology kernel as it was before clearing, the Tietze rule on a
 # plain relator list with full scans in place of the length heaps and the
 # occurrence index, the π₁ verdict as it was before the Tietze core, the
-# subdivision as it was before it walked the Hasse diagram, and the
-# manifold check as it was before its order-type link cache.  These are the
-# library's algorithms in plain form, not first principles: the faster
+# subdivision as it was before it walked the Hasse diagram, the Hasse
+# diagram as it was built from one face -> node dict over every level, and
+# the manifold check as it was before its order-type link cache.  These are
+# the library's algorithms in plain form, not first principles: the faster
 # kernels must give exactly their invariants, presentations, Tietze traces,
-# verdicts, facets and manifold reports.
+# verdicts, facets, diagrams and manifold reports.
 
 
 def barycentric_subdivision_permutations(K):
@@ -283,6 +284,27 @@ def barycentric_subdivision_permutations(K):
             chain = [rank[tuple(sorted(order[:j]))] for j in range(1, len(order) + 1)]
             new_facets.append(tuple(sorted(chain)))
     return SimplicialComplex(new_facets)
+
+
+def hasse_reference(K):
+    """``build_hasse``'s earlier build, from one face -> node dict over every
+    level: (faces, level_start, down, up)."""
+    faces = []
+    level_start = [0]
+    index = {}
+    for level in K.faces_by_dim():
+        for f in level:
+            index[f] = len(faces)
+            faces.append(f)
+        level_start.append(len(faces))
+    down = []
+    up = [[] for _ in faces]
+    for f, node in index.items():
+        subs = tuple(index[s] for s in combinations(f, len(f) - 1)) if len(f) > 1 else ()
+        down.append(subs)
+        for sub in subs:
+            up[sub].append(node)
+    return faces, level_start, down, [tuple(lst) for lst in up]
 
 
 def homology_full(K, coefficients="Z", reduced=False):

@@ -81,6 +81,18 @@ def test_matching_verifies_and_tampering_detected():
     with pytest.raises(InconsistentMatching):
         verify_acyclic_matching(H, bogus)
 
+    # so must a pair whose faces are not in K, each side in turn
+    for pair in [((0,), (0, 9)), ((0, 9), (0, 1, 9)), ((), (0,))]:
+        bogus = MorseResult(
+            vector=res.vector,
+            matching=res.matching[:-1] + [pair],
+            critical=res.critical,
+            seed=res.seed,
+            strategy=res.strategy,
+        )
+        with pytest.raises(InconsistentMatching):
+            verify_acyclic_matching(H, bogus)
+
 
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)
 def test_matching_is_acyclic_and_partitions_the_faces(small_corpus, strategy):
